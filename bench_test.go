@@ -765,14 +765,20 @@ func BenchmarkWireCodec(b *testing.B) {
 	c := event.NewPrimitive("B", event.Explicit, core.DeriveStamp("s2", 105, 10), nil)
 	comp := event.NewComposite("AB", "hub", a, c)
 	env := wire.Envelope{Kind: wire.KindEvent, Occ: comp, RaisedAt: 5}
-	buf, err := wire.Encode(env)
+	reg := event.NewRegistry()
+	for _, typ := range []string{"A", "B"} {
+		reg.MustDeclare(typ, event.Explicit)
+	}
+	reg.MustDeclare("AB", event.Composite)
+	codec := &wire.Codec{Roster: core.NewRoster([]core.SiteID{"hub", "s1", "s2"}), Granule: 10, Types: reg}
+	buf, err := codec.Encode(env)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := wire.Encode(env); err != nil {
+			if _, err := codec.Encode(env); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -781,7 +787,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := wire.Decode(buf); err != nil {
+			if _, err := codec.Decode(buf); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -22,7 +22,7 @@
 //     every argument);
 //   - string concatenation, with a sharper message when an operand is a
 //     core.SiteID (keys belong on dense core.Site indexes, see DESIGN.md
-//     §2g), and allocating string conversions ([]byte/[]rune ↔ string,
+//     §2e), and allocating string conversions ([]byte/[]rune ↔ string,
 //     numeric → string);
 //   - per-call map/slice/chan construction: composite literals and make;
 //   - closures capturing loop variables (a fresh variable cell plus a

@@ -17,11 +17,11 @@
 //
 // The analyzer inspects internal/ddetect and flags:
 //
-//   - calls to the Bus send methods (Send / SendBatch / SendUnbatched)
+//   - calls to the Bus send methods (SendBatchSite / SendUnbatchedSite)
 //     outside methods of linkCoalescer — the flush is the one place
 //     application traffic meets the bus;
-//   - calls to the Bus drain methods (DrainDue / DeliverDue) outside
-//     methods of transportStage — the one designated consumer;
+//   - calls to the Bus drain method (DrainDue) outside methods of
+//     transportStage — the one designated consumer;
 //   - writes to fields of ddetect.Stats and calls of detector.Handler
 //     values (subscriber fan-out) outside the publish stage (methods of
 //     publishStage and the System.forwardComposite helper it drives).
@@ -96,11 +96,8 @@ func named(t types.Type, pkgSuffix, name string) bool {
 // dequeue traffic: transportStage-only.  Read-only accessors are not
 // effects.
 var (
-	busSenders = map[string]bool{
-		"Send": true, "SendBatch": true, "SendUnbatched": true,
-		"SendBatchSite": true, "SendUnbatchedSite": true,
-	}
-	busDrainers = map[string]bool{"DrainDue": true, "DeliverDue": true}
+	busSenders  = map[string]bool{"SendBatchSite": true, "SendUnbatchedSite": true}
+	busDrainers = map[string]bool{"DrainDue": true}
 )
 
 func run(pass *analysis.Pass) error {

@@ -18,9 +18,9 @@ type sys struct {
 }
 
 func (s *sys) detectTick(h detector.Handler, o *event.Occurrence) {
-	s.bus.Send(0, "a", "b", nil) // want `stagefx: Bus\.Send outside the coalescer flush`
-	s.stats.Raised++             // want `stagefx: Stats mutation outside the publish stage`
-	h(o)                         // want `stagefx: subscriber fan-out`
+	s.bus.SendBatchSite(0, 0, 1, nil, 1, 0) // want `stagefx: Bus\.SendBatchSite outside the coalescer flush`
+	s.stats.Raised++                        // want `stagefx: Stats mutation outside the publish stage`
+	h(o)                                    // want `stagefx: subscriber fan-out`
 }
 
 func (s *sys) drain() {
@@ -33,28 +33,26 @@ type publishStage struct{ sys *sys }
 // The publish stage may fan out to handlers and count, but since PR 4 it
 // must hand traffic to the coalescer rather than the bus.
 func (p *publishStage) Tick(h detector.Handler, o *event.Occurrence) {
-	p.sys.bus.Send(0, "a", "b", nil) // want `stagefx: Bus\.Send outside the coalescer flush`
+	p.sys.bus.SendBatchSite(0, 0, 1, nil, 1, 0) // want `stagefx: Bus\.SendBatchSite outside the coalescer flush`
 	p.sys.stats.Detections++
 	h(o)
 }
 
 type linkCoalescer struct{ sys *sys }
 
-// flush is the designated bus sender: every send method is clean here.
+// flush is the designated bus sender: both send methods are clean here.
 func (c *linkCoalescer) flush() {
-	c.sys.bus.Send(0, "a", "b", nil)
-	c.sys.bus.SendBatch(0, "a", "b", nil, 3, 0)
-	c.sys.bus.SendUnbatched(0, "a", "b", 2, func(int) any { return nil })
+	c.sys.bus.SendBatchSite(0, 0, 1, nil, 3, 0)
+	c.sys.bus.SendUnbatchedSite(0, 0, 1, 2, func(int) any { return nil })
 }
 
 type transportStage struct{ sys *sys }
 
-// Tick is the designated bus consumer: drains are clean here, but a send
+// Tick is the designated bus consumer: the drain is clean here, but a send
 // is not.
 func (t *transportStage) Tick() {
 	_ = t.sys.bus.DrainDue(0, nil)
-	t.sys.bus.DeliverDue(0, func(network.Message) {})
-	t.sys.bus.SendBatch(0, "a", "b", nil, 1, 0) // want `stagefx: Bus\.SendBatch outside the coalescer flush`
+	t.sys.bus.SendUnbatchedSite(0, 0, 1, 1, func(int) any { return nil }) // want `stagefx: Bus\.SendUnbatchedSite outside the coalescer flush`
 }
 
 // Being the designated sender does not make the coalescer a consumer:

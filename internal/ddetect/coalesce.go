@@ -24,7 +24,7 @@ import (
 // receiving reorderer unpacks a batch back into individual envelopes
 // before FIFO restore, and — the property TestBatchingDeterminism pins —
 // the delivery schedule is byte-identical with batching disabled, because
-// the differential mode (Config.DisableBatching → Bus.SendUnbatched)
+// the differential mode (Config.DisableBatching → Bus.SendUnbatchedSite)
 // consumes the same one draw per link flush.
 //
 // All methods run on the crank goroutine (stages are single-threaded and
@@ -45,29 +45,27 @@ type linkCoalescer struct {
 
 	// freeEnvs recycles flushed batch slices for in-memory payloads; the
 	// transport stage returns each slice after unpacking it.  freeRuns
-	// recycles the envRun boxes those slices ship in, freeBufs does the
-	// same for serialized frames, and wenvs is the reused wire-envelope
-	// staging slice for batch encoding.
-	freeEnvs [][]envelope
+	// recycles the envRun boxes those slices ship in, and freeBufs does
+	// the same for serialized frames.
+	freeEnvs [][]wire.Envelope
 	freeRuns []*envRun
 	freeBufs [][]byte
-	wenvs    []wire.Envelope
 }
 
 // envRun is the bus payload of an in-memory coalesced batch.  Boxing the
-// run as a pointer costs nothing per flush; boxing the []envelope slice
+// run as a pointer costs nothing per flush; boxing the []wire.Envelope slice
 // header directly into the Message's any field copied it to the heap on
 // every send — the single largest allocation site of the 16-site
 // end-to-end profile before this container existed.
 type envRun struct {
-	envs []envelope
+	envs []wire.Envelope
 }
 
 // linkBatch is one link's accumulating envelope run, addressed by dense
 // roster indexes.
 type linkBatch struct {
 	from, to core.Site
-	envs     []envelope
+	envs     []wire.Envelope
 }
 
 func newLinkCoalescer(sys *System) *linkCoalescer {
@@ -88,8 +86,8 @@ func packLink(from, to core.Site) uint64 {
 // the serializing flush after encoding).
 //
 //sentinel:hotpath
-func (c *linkCoalescer) add(from, to core.Site, env envelope) {
-	if env.Kind == envEvent {
+func (c *linkCoalescer) add(from, to core.Site, env wire.Envelope) {
+	if env.Kind == wire.KindEvent {
 		env.Occ.Retain()
 	}
 	k := packLink(from, to)
@@ -129,7 +127,7 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 			from, to = sys.roster.ID(lb.from), sys.roster.ID(lb.to)
 		}
 		for _, env := range envs {
-			if env.Kind != envEvent {
+			if env.Kind != wire.KindEvent {
 				continue
 			}
 			// The flush instant is the moment the occurrence actually hits
@@ -149,7 +147,16 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 			// messages with consecutive sequence numbers, under the one
 			// shared draw SendBatchSite would have consumed.
 			sys.bus.SendUnbatchedSite(now, lb.from, lb.to, len(envs), func(i int) any {
-				return sys.payload(envs[i])
+				if !sys.cfg.Serialize {
+					return envs[i]
+				}
+				//lint:allow hotalloc — the encoded frame IS the message payload handed to the bus; its allocation is the product of serialization
+				buf, err := sys.codec.Encode(envs[i])
+				if err != nil {
+					//lint:allow hotalloc — panic message on an unencodable envelope; never formats on the steady path
+					panic(fmt.Sprintf("ddetect: envelope not encodable: %v", err))
+				}
+				return buf
 			})
 			if sys.cfg.Serialize {
 				// The wire frames carry copies; the originals' transport
@@ -161,12 +168,11 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 		case sys.cfg.Serialize:
 			buf := c.getBuf()
 			//lint:allow hotalloc — AppendBatch allocates only on its error path (unencodable batch), and the panic below formats only then
-			buf, err := sys.codec.AppendBatch(buf, c.stage(envs))
+			buf, err := sys.codec.AppendBatch(buf, envs)
 			if err != nil {
 				//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
 				panic(fmt.Sprintf("ddetect: batch not encodable: %v", err))
 			}
-			clear(c.wenvs) // drop the staged occurrence references
 			sys.bus.SendBatchSite(now, lb.from, lb.to, buf, len(envs), len(buf))
 			// The receiver decodes fresh occurrences from the frame; the
 			// in-memory originals' transport references end at the encode.
@@ -183,30 +189,12 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 	c.order = c.order[:0]
 }
 
-// stage converts a run of internal envelopes to wire envelopes in the
-// reused staging slice.
-func (c *linkCoalescer) stage(envs []envelope) []wire.Envelope {
-	wenvs := c.wenvs[:0]
-	for _, env := range envs {
-		we := wire.Envelope{Global: env.Global, RaisedAt: int64(env.RaisedAt)}
-		if env.Kind == envEvent {
-			we.Kind = wire.KindEvent
-			we.Occ = env.Occ
-		} else {
-			we.Kind = wire.KindHeartbeat
-		}
-		wenvs = append(wenvs, we)
-	}
-	c.wenvs = wenvs
-	return wenvs
-}
-
 // releaseOccs drops the transport's occurrence references after a run was
 // serialized: the receiving side decodes fresh objects, so the in-memory
 // originals' transport life ends at the encode.
-func releaseOccs(envs []envelope) {
+func releaseOccs(envs []wire.Envelope) {
 	for _, env := range envs {
-		if env.Kind == envEvent {
+		if env.Kind == wire.KindEvent {
 			env.Occ.Release()
 		}
 	}
@@ -214,13 +202,13 @@ func releaseOccs(envs []envelope) {
 
 // recycleEnvs returns a flushed (or unpacked) batch slice to the free
 // list, dropping its occurrence pointers first.
-func (c *linkCoalescer) recycleEnvs(envs []envelope) {
+func (c *linkCoalescer) recycleEnvs(envs []wire.Envelope) {
 	clear(envs)
 	c.freeEnvs = append(c.freeEnvs, envs[:0])
 }
 
 // getRun boxes a flushed envelope slice in a pooled envRun for the bus.
-func (c *linkCoalescer) getRun(envs []envelope) *envRun {
+func (c *linkCoalescer) getRun(envs []wire.Envelope) *envRun {
 	n := len(c.freeRuns)
 	if n == 0 {
 		return &envRun{envs: envs}

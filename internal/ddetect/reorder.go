@@ -45,32 +45,10 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/wire"
 )
-
-// envKind distinguishes bus payloads.
-type envKind int
-
-const (
-	envEvent envKind = iota
-	envHeartbeat
-)
-
-// envelope is the application payload carried by network messages and the
-// site-local self stream.
-type envelope struct {
-	Kind envKind
-	// Occ is the occurrence for envEvent.
-	Occ *event.Occurrence
-	// Global is the watermark for envHeartbeat.
-	Global int64
-	// RaisedAt is the reference time the occurrence was raised (for
-	// latency accounting) or the heartbeat's nominal instant (the
-	// reference the wire codec delta-encodes the frontier against).
-	RaisedAt clock.Microticks
-}
 
 // sourceState tracks one source's stream at a receiving site.  One link
 // sequence number covers one bus message, which since the transport
@@ -81,7 +59,7 @@ type envelope struct {
 // carries n small structs and no maps.
 type sourceState struct {
 	nextSeq  uint64
-	pending  map[uint64][]envelope
+	pending  map[uint64][]wire.Envelope
 	frontier int64
 	// excluded marks a decommissioned source: its frontier no longer
 	// gates the watermark (see System.Decommission).
@@ -195,7 +173,7 @@ func (r *reorderer) source(from core.Site, seq uint64) (*sourceState, error) {
 // in-order case bypasses the pending map entirely.
 //
 //sentinel:hotpath
-func (r *reorderer) accept(from core.Site, seq uint64, env envelope) error {
+func (r *reorderer) accept(from core.Site, seq uint64, env wire.Envelope) error {
 	st, err := r.source(from, seq)
 	if err != nil {
 		return err
@@ -208,10 +186,10 @@ func (r *reorderer) accept(from core.Site, seq uint64, env envelope) error {
 	}
 	if st.pending == nil {
 		//lint:allow hotalloc — lazy one-time map per source, only materialized the first time that source delivers out of order
-		st.pending = make(map[uint64][]envelope)
+		st.pending = make(map[uint64][]wire.Envelope)
 	}
 	//lint:allow hotalloc — the pending run is retained until the sequence gap fills; the buffer is the point of the reorderer
-	st.pending[seq] = []envelope{env}
+	st.pending[seq] = []wire.Envelope{env}
 	r.buffered++
 	return nil
 }
@@ -223,7 +201,7 @@ func (r *reorderer) accept(from core.Site, seq uint64, env envelope) error {
 // arrival copies the run into an owned buffer.
 //
 //sentinel:hotpath
-func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []envelope) error {
+func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []wire.Envelope) error {
 	st, err := r.source(from, seq)
 	if err != nil {
 		return err
@@ -238,9 +216,9 @@ func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []envelope) err
 	}
 	if st.pending == nil {
 		//lint:allow hotalloc — lazy one-time map per source, only materialized the first time that source delivers out of order
-		st.pending = make(map[uint64][]envelope)
+		st.pending = make(map[uint64][]wire.Envelope)
 	}
-	st.pending[seq] = append([]envelope(nil), envs...)
+	st.pending[seq] = append([]wire.Envelope(nil), envs...)
 	r.buffered += len(envs)
 	return nil
 }
@@ -263,9 +241,9 @@ func (r *reorderer) drain(st *sourceState) {
 
 // ingest processes one in-order envelope: events join the ready queue and
 // advance the frontier; heartbeats only advance the frontier.
-func (r *reorderer) ingest(st *sourceState, env envelope) {
+func (r *reorderer) ingest(st *sourceState, env wire.Envelope) {
 	switch env.Kind {
-	case envEvent:
+	case wire.KindEvent:
 		g := env.Occ.Stamp.MaxGlobal()
 		if g > st.frontier {
 			st.frontier = g
@@ -274,7 +252,7 @@ func (r *reorderer) ingest(st *sourceState, env envelope) {
 		r.arrival++
 		r.ready.push(readyItem{env: env, key: r.releaseKey(env.Occ, r.arrival)})
 		r.stale = true
-	case envHeartbeat:
+	case wire.KindHeartbeat:
 		if env.Global > st.frontier {
 			st.frontier = env.Global
 			r.minDirty = true
@@ -372,9 +350,9 @@ func (m ReleaseMode) slack() int64 {
 	return -1
 }
 
-// release pops every stable event — maximal global component at most
-// minFrontier + slack(mode) — in (global, site, local, arrival) order and
-// hands it to fn.  It returns the number released.
+// releaseInto pops every stable event — maximal global component at most
+// minFrontier + slack(mode) — in (global, site, local, arrival) order,
+// appending to the caller-owned dst and returning the extended slice.
 //
 // A reorderer nothing touched since its last release returns immediately:
 // no event arrived and no frontier moved, so the stable set cannot have
@@ -382,34 +360,14 @@ func (m ReleaseMode) slack() int64 {
 // sites, only the ones with fresh arrivals or watermark movement do any
 // work, and only they consult the frontier vector.
 //
-//sentinel:hotpath
-func (r *reorderer) release(mode ReleaseMode, fn func(envelope)) int {
-	if !r.stale || len(r.ready) == 0 {
-		return 0
-	}
-	r.stale = false
-	minF := r.minFrontier()
-	if minF == math.MinInt64 {
-		return 0
-	}
-	n := 0
-	for len(r.ready) > 0 && r.ready[0].key.global <= minF+mode.slack() {
-		fn(r.ready.pop().env)
-		n++
-	}
-	return n
-}
-
-// releaseInto is release with the callback replaced by a caller-owned
-// buffer: stable envelopes are appended to dst in release order and the
-// extended slice returned.  It exists for the release stage's parallel
-// advance phase — each worker pops its own site's heap into the site's
-// released buffer, and the crank accounts the results in site order
-// afterwards, so heap maintenance (the sift-heavy part) runs fanned out
-// while every observable side effect stays sequential.
+// The buffer form serves the release stage's parallel advance phase: each
+// worker pops its own site's heap into the site's released buffer, and
+// the crank accounts the results in site order afterwards, so heap
+// maintenance (the sift-heavy part) runs fanned out while every
+// observable side effect stays sequential.
 //
 //sentinel:hotpath
-func (r *reorderer) releaseInto(mode ReleaseMode, dst []envelope) []envelope {
+func (r *reorderer) releaseInto(mode ReleaseMode, dst []wire.Envelope) []wire.Envelope {
 	if !r.stale || len(r.ready) == 0 {
 		return dst
 	}
@@ -472,7 +430,7 @@ func (k key) less(u key) bool {
 }
 
 type readyItem struct {
-	env envelope
+	env wire.Envelope
 	key key
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/event"
 	"repro/internal/network"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -42,11 +43,11 @@ func TestReordererScaleMembership(t *testing.T) {
 				}
 				occ := event.NewPrimitive("A", event.Explicit,
 					core.DeriveStamp(ids[i], g*10, 10), nil)
-				if err := r.accept(core.Site(i), 1, envelope{Kind: envEvent, Occ: occ}); err != nil {
+				if err := r.accept(core.Site(i), 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got := r.release(ReleaseExtension, func(envelope) {}); got != 0 {
+			if got := len(r.releaseInto(ReleaseExtension, nil)); got != 0 {
 				t.Fatalf("released %d events while %s was silent, want 0", got, ids[n-1])
 			}
 			if got := r.pendingEvents(); got != n-1 {
@@ -55,28 +56,32 @@ func TestReordererScaleMembership(t *testing.T) {
 
 			// The silent member heartbeats global 9: min frontier 9, so
 			// extension mode releases exactly the global-10 events.
-			if err := r.accept(core.Site(n-1), 1, envelope{Kind: envHeartbeat, Global: 9}); err != nil {
+			if err := r.accept(core.Site(n-1), 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 9}); err != nil {
 				t.Fatal(err)
 			}
 			var keys []key
-			sink := func(env envelope) {
-				keys = append(keys, key{
-					global: env.Occ.Stamp.MaxGlobal(),
-					site:   roster.MustSite(env.Occ.Stamp.MaxGlobalComponent().Site),
-				})
+			release := func(mode ReleaseMode) int {
+				envs := r.releaseInto(mode, nil)
+				for _, env := range envs {
+					keys = append(keys, key{
+						global: env.Occ.Stamp.MaxGlobal(),
+						site:   roster.MustSite(env.Occ.Stamp.MaxGlobalComponent().Site),
+					})
+				}
+				return len(envs)
 			}
-			if got := r.release(ReleaseExtension, sink); got != lowest {
+			if got := release(ReleaseExtension); got != lowest {
 				t.Fatalf("partial release = %d, want %d (the global-10 events)", got, lowest)
 			}
 
 			// Everyone advances far past the window: the rest releases, in
 			// both modes' threshold (use total order for the stricter gate).
 			for i := 0; i < n; i++ {
-				if err := r.accept(core.Site(i), 2, envelope{Kind: envHeartbeat, Global: 1000}); err != nil {
+				if err := r.accept(core.Site(i), 2, wire.Envelope{Kind: wire.KindHeartbeat, Global: 1000}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got := r.release(ReleaseTotalOrder, sink); got != n-1-lowest {
+			if got := release(ReleaseTotalOrder); got != n-1-lowest {
 				t.Fatalf("final release = %d, want %d", got, n-1-lowest)
 			}
 			if got := r.pendingEvents(); got != 0 {
@@ -107,17 +112,17 @@ func TestReordererScaleExclusion(t *testing.T) {
 			r := newReorderer(roster)
 			occ := event.NewPrimitive("A", event.Explicit,
 				core.DeriveStamp(ids[0], 100, 10), nil)
-			if err := r.accept(core.Site(0), 1, envelope{Kind: envEvent, Occ: occ}); err != nil {
+			if err := r.accept(core.Site(0), 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
 				t.Fatal(err)
 			}
-			if got := r.release(ReleaseExtension, func(envelope) {}); got != 0 {
+			if got := len(r.releaseInto(ReleaseExtension, nil)); got != 0 {
 				t.Fatalf("released %d with %d silent members, want 0", got, n-1)
 			}
 			for i := 1; i < n; i++ {
 				r.exclude(core.Site(i))
 			}
 			// min frontier is now the speaker's own 10: 10 ≤ 10+1 releases.
-			if got := r.release(ReleaseExtension, func(envelope) {}); got != 1 {
+			if got := len(r.releaseInto(ReleaseExtension, nil)); got != 1 {
 				t.Fatalf("released %d after excluding all silent members, want 1", got)
 			}
 		})

@@ -102,3 +102,50 @@ func TestSerializeRejectsUnencodableParams(t *testing.T) {
 	}()
 	edge.MustRaise("A", event.Explicit, event.Params{"bad": make(chan int)})
 }
+
+// TestUnbatchedSerializeCountsPayloadBytes: the differential transport
+// (DisableBatching) puts one frame per envelope on the wire, and those
+// frames are the members of the batched run's frames.  Its byte total is
+// therefore the batched total less the batch framing — a tag and a count
+// per message and a length prefix per member, one byte each at these
+// sizes — and the per-link rows account for all of it.
+func TestUnbatchedSerializeCountsPayloadBytes(t *testing.T) {
+	run := func(unbatched bool) (network.Stats, []network.LinkStat) {
+		sys := MustNewSystem(Config{Serialize: true, DisableBatching: unbatched})
+		edge := sys.MustAddSite("edge", 0, 0)
+		sys.MustAddSite("hub", 0, 0)
+		for _, typ := range []string{"A", "B"} {
+			if err := sys.Declare(typ, event.Explicit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sys.DefineAt("hub", "X", "A ; B", detector.Chronicle); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			sys.Step(100)
+			edge.MustRaise([]string{"A", "B"}[i%2], event.Explicit, nil)
+		}
+		if err := sys.Settle(1000); err != nil {
+			t.Fatal(err)
+		}
+		return sys.Stats().Net, sys.bus.LinkStats()
+	}
+	batched, _ := run(false)
+	single, links := run(true)
+	if single.Sent != single.Envelopes || single.Envelopes != batched.Envelopes {
+		t.Fatalf("unbatched %+v does not carry the batched run's envelopes %+v", single, batched)
+	}
+	framing := 2*batched.Sent + batched.Envelopes
+	if single.PayloadBytes == 0 || single.PayloadBytes != batched.PayloadBytes-framing {
+		t.Fatalf("unbatched payload bytes = %d, want the %d single-frame bytes of the batched run (%d less %d framing)",
+			single.PayloadBytes, batched.PayloadBytes-framing, batched.PayloadBytes, framing)
+	}
+	var byLink uint64
+	for _, ls := range links {
+		byLink += ls.Bytes
+	}
+	if byLink != single.PayloadBytes {
+		t.Fatalf("per-link bytes sum to %d, bus total is %d", byLink, single.PayloadBytes)
+	}
+}

@@ -75,7 +75,7 @@ func (st *ingestStage) Tick(now clock.Microticks) int {
 				if dst == s {
 					continue
 				}
-				sys.coal.add(s.idx, dst.idx, envelope{Kind: envHeartbeat, Global: g, RaisedAt: sys.nextHB})
+				sys.coal.add(s.idx, dst.idx, wire.Envelope{Kind: wire.KindHeartbeat, Global: g, RaisedAt: sys.nextHB})
 				sys.stats.Heartbeats++
 				n++
 			}
@@ -140,7 +140,7 @@ func (st *ingestStage) raise(s *Site, typ string, class event.Class, params even
 		}
 	}
 	now := sys.clk.Now()
-	env := envelope{Kind: envEvent, Occ: occ, RaisedAt: now}
+	env := wire.Envelope{Kind: wire.KindEvent, Occ: occ, RaisedAt: now}
 	sys.stats.Raised++
 	st.raised++
 	// First stage crossing: no leg to attribute yet, just stamp the mark.
@@ -190,7 +190,7 @@ func (st *ingestStage) raise(s *Site, typ string, class event.Class, params even
 type transportStage struct {
 	sys     *System
 	batch   []network.Message
-	decoded []envelope
+	decoded []wire.Envelope
 	// now is the current tick's simulated time, stashed by Tick so the
 	// accept helpers can stamp recv spans without threading it through.
 	now clock.Microticks
@@ -214,12 +214,12 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 		// slice index, no string hash.
 		if m.ToSite < 0 || int(m.ToSite) >= len(sys.sites) {
 			//lint:allow hotalloc — panic message on a routing bug; never formats on the steady path
-			panic(fmt.Sprintf("ddetect: message to unknown site %q", m.To))
+			panic(fmt.Sprintf("ddetect: message to unknown site index %d", m.ToSite))
 		}
 		dst := sys.sites[m.ToSite]
 		switch p := m.Payload.(type) {
 		case *envRun:
-			st.acceptRun(dst, m.FromSite, m.From, m.Seq, p.envs)
+			st.acceptRun(dst, m.FromSite, m.Seq, p.envs)
 			n += len(p.envs)
 			sys.coal.recycleEnvs(p.envs)
 			sys.coal.recycleRun(p)
@@ -227,49 +227,50 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 			if wire.IsBatch(p) {
 				st.decoded = st.decoded[:0]
 				//lint:allow hotalloc — DecodeBatch allocates only when rejecting a corrupt frame, and the panic below formats only then
-				if err := sys.codec.DecodeBatch(p, st.collect); err != nil {
+				if err := sys.codec.DecodeBatch(p, st.appendDecoded); err != nil {
 					//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
 					panic(fmt.Sprintf("ddetect: corrupt batch: %v", err))
 				}
-				st.acceptRun(dst, m.FromSite, m.From, m.Seq, st.decoded)
+				st.acceptRun(dst, m.FromSite, m.Seq, st.decoded)
 				n += len(st.decoded)
 				clear(st.decoded)
 				sys.coal.recycleBuf(p)
 				break
 			}
-			st.acceptOne(dst, m.FromSite, m.From, m.Seq, sys.unpayload(p))
+			//lint:allow hotalloc — Decode allocates only when rejecting a corrupt frame, and the panic below formats only then
+			env, err := sys.codec.Decode(p)
+			if err != nil {
+				//lint:allow hotalloc — panic message on a corrupt envelope; never formats on the steady path
+				panic(fmt.Sprintf("ddetect: corrupt envelope: %v", err))
+			}
+			st.acceptOne(dst, m.FromSite, m.Seq, env)
+			n++
+		case wire.Envelope:
+			st.acceptOne(dst, m.FromSite, m.Seq, p)
 			n++
 		default:
-			st.acceptOne(dst, m.FromSite, m.From, m.Seq, sys.unpayload(p))
-			n++
+			//lint:allow hotalloc — panic message on an impossible payload type; never formats on the steady path
+			panic(fmt.Sprintf("ddetect: unexpected payload type %T", p))
 		}
 		m.Payload = nil
 	}
 	return n
 }
 
-// collect is the streaming DecodeBatch callback, hoisted to a method so
-// the per-message decode loop allocates no closure.
-func (st *transportStage) collect(we wire.Envelope) error {
-	env := envelope{Global: we.Global, RaisedAt: clock.Microticks(we.RaisedAt)}
-	if we.Kind == wire.KindEvent {
-		env.Kind = envEvent
-		env.Occ = we.Occ
-	} else {
-		env.Kind = envHeartbeat
-	}
+// appendDecoded is the streaming DecodeBatch callback, a method so the
+// per-message decode loop allocates no closure.
+func (st *transportStage) appendDecoded(env wire.Envelope) error {
 	st.decoded = append(st.decoded, env)
 	return nil
 }
 
-// acceptRun hands one coalesced envelope run to the reorderer.  The dense
-// from index feeds the reorderer; the string peer only labels spans.
-func (st *transportStage) acceptRun(dst *Site, from core.Site, peer core.SiteID, seq uint64, envs []envelope) {
+// acceptRun hands one coalesced envelope run to the reorderer.
+func (st *transportStage) acceptRun(dst *Site, from core.Site, seq uint64, envs []wire.Envelope) {
 	sys := st.sys
 	for _, env := range envs {
-		if env.Kind == envEvent {
+		if env.Kind == wire.KindEvent {
 			sys.inFlightEvents--
-			sys.acceptEvent(env.Occ, dst, peer, st.now)
+			sys.acceptEvent(env.Occ, dst, from, st.now)
 		}
 	}
 	if err := dst.re.acceptBatch(from, seq, envs); err != nil {
@@ -278,10 +279,10 @@ func (st *transportStage) acceptRun(dst *Site, from core.Site, peer core.SiteID,
 }
 
 // acceptOne hands one single-envelope message to the reorderer.
-func (st *transportStage) acceptOne(dst *Site, from core.Site, peer core.SiteID, seq uint64, env envelope) {
-	if env.Kind == envEvent {
+func (st *transportStage) acceptOne(dst *Site, from core.Site, seq uint64, env wire.Envelope) {
+	if env.Kind == wire.KindEvent {
 		st.sys.inFlightEvents--
-		st.sys.acceptEvent(env.Occ, dst, peer, st.now)
+		st.sys.acceptEvent(env.Occ, dst, from, st.now)
 	}
 	if err := dst.re.accept(from, seq, env); err != nil {
 		panic(err) // bus sequencing guarantees make this unreachable
@@ -292,17 +293,18 @@ func (st *transportStage) acceptOne(dst *Site, from core.Site, peer core.SiteID,
 // mark, the serialize-mode sample recomputation (a decoded occurrence is
 // a fresh object whose in-memory sample bit did not travel — the
 // decision is a pure function of raise identity, so recomputing it here
-// yields the bit the origin stamped), and the recv span.
+// yields the bit the origin stamped), and the recv span, the one place
+// the sender's index is resolved back to a name.
 //
 //sentinel:hotpath
-func (sys *System) acceptEvent(occ *event.Occurrence, dst *Site, peer core.SiteID, now clock.Microticks) {
+func (sys *System) acceptEvent(occ *event.Occurrence, dst *Site, from core.Site, now clock.Microticks) {
 	if occ.Sample == event.SampleUndecided && sys.smp != nil {
 		sys.decideSample(occ)
 	}
 	sys.mark(occ, event.MarkRecv, now)
 	if tr := sys.tr; tr != nil && occ.Sample != event.SampleDrop {
 		tr.Emit(obs.SpanEvent{ID: tr.ID(occ, occ.Gen()), At: int64(now), Kind: obs.KindRecv,
-			Site: string(dst.ID), SiteRef: int32(dst.idx) + 1, Peer: string(peer), Type: occ.Type})
+			Site: string(dst.ID), SiteRef: int32(dst.idx) + 1, Peer: string(sys.roster.ID(from)), Type: occ.Type})
 	}
 }
 

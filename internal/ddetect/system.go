@@ -38,7 +38,7 @@ type Config struct {
 	// DisableBatching turns off per-link envelope coalescing: every
 	// envelope travels as its own bus message, with the same per-flush
 	// delay schedule the batched transport would have produced (see
-	// network.Bus.SendUnbatched).  Detection output is byte-identical
+	// network.Bus.SendUnbatchedSite).  Detection output is byte-identical
 	// either way — this is the differential mode that proves batching is
 	// a pure transport optimization, and a way to measure its win.
 	DisableBatching bool
@@ -660,7 +660,7 @@ type Site struct {
 	// the detect stage to the publish stage.  In parallel mode the
 	// worker that owns this site is the only goroutine touching any of
 	// them.
-	released []envelope
+	released []wire.Envelope
 	inbox    []*event.Occurrence
 	detected []*event.Occurrence
 }
@@ -983,7 +983,7 @@ func (sys *System) forwardComposite(from *Site, o *event.Occurrence) {
 		return
 	}
 	now := sys.clk.Now()
-	env := envelope{Kind: envEvent, Occ: o, RaisedAt: now}
+	env := wire.Envelope{Kind: wire.KindEvent, Occ: o, RaisedAt: now}
 	for _, dst := range needers {
 		if dst == from.idx {
 			continue // local consumers already saw it via the detector
@@ -994,60 +994,11 @@ func (sys *System) forwardComposite(from *Site, o *event.Occurrence) {
 	}
 }
 
-// payload prepares an envelope for the bus: the envelope itself, or its
-// wire encoding — dense site indexes, delta frontiers — when
-// Config.Serialize is set.
-func (sys *System) payload(env envelope) any {
-	if !sys.cfg.Serialize {
-		return env
-	}
-	we := wire.Envelope{Global: env.Global, RaisedAt: int64(env.RaisedAt)}
-	if env.Kind == envEvent {
-		we.Kind = wire.KindEvent
-		we.Occ = env.Occ
-	} else {
-		we.Kind = wire.KindHeartbeat
-	}
-	//lint:allow hotalloc — the encoded frame IS the message payload handed to the bus; its allocation is the product of serialization
-	buf, err := sys.codec.Encode(we)
-	if err != nil {
-		//lint:allow hotalloc — panic message on an unencodable envelope; never formats on the steady path
-		panic(fmt.Sprintf("ddetect: envelope not encodable: %v", err))
-	}
-	return buf
-}
-
-// unpayload reverses payload.
-func (sys *System) unpayload(p any) envelope {
-	switch x := p.(type) {
-	case envelope:
-		return x
-	case []byte:
-		//lint:allow hotalloc — Decode allocates only when rejecting a corrupt frame (error construction); the decoded envelope reuses the frame's bytes
-		we, err := sys.codec.Decode(x)
-		if err != nil {
-			//lint:allow hotalloc — panic message on a corrupt envelope; never formats on the steady path
-			panic(fmt.Sprintf("ddetect: corrupt envelope: %v", err))
-		}
-		env := envelope{Global: we.Global, RaisedAt: clock.Microticks(we.RaisedAt)}
-		if we.Kind == wire.KindEvent {
-			env.Kind = envEvent
-			env.Occ = we.Occ
-		} else {
-			env.Kind = envHeartbeat
-		}
-		return env
-	default:
-		//lint:allow hotalloc — panic message on an impossible payload type; never formats on the steady path
-		panic(fmt.Sprintf("ddetect: unexpected payload type %T", p))
-	}
-}
-
 // selfDeliver puts a local occurrence through the site's own reorderer
 // stream so local and remote events interleave in one linear extension.
 // Like coal.add it takes the delivery's reference on the occurrence; the
 // detect stage releases it after dispatch.
-func (s *Site) selfDeliver(env envelope) {
+func (s *Site) selfDeliver(env wire.Envelope) {
 	env.Occ.Retain()
 	s.selfSeq++
 	if err := s.re.accept(s.idx, s.selfSeq, env); err != nil {

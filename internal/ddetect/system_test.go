@@ -9,6 +9,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/event"
 	"repro/internal/network"
+	"repro/internal/wire"
 )
 
 // newTwoSiteSystem builds the standard two-site fixture: a producer site
@@ -432,22 +433,22 @@ func TestReordererRejectsAnomalies(t *testing.T) {
 	roster := core.NewRoster([]core.SiteID{"a", "b"})
 	a := roster.MustSite("a")
 	r := newReorderer(roster)
-	if err := r.accept(core.Site(99), 1, envelope{Kind: envHeartbeat, Global: 1}); err == nil {
+	if err := r.accept(core.Site(99), 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 1}); err == nil {
 		t.Errorf("unknown source must be rejected")
 	}
-	if err := r.accept(core.NoSite, 1, envelope{Kind: envHeartbeat, Global: 1}); err == nil {
+	if err := r.accept(core.NoSite, 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 1}); err == nil {
 		t.Errorf("NoSite source must be rejected")
 	}
-	if err := r.accept(a, 1, envelope{Kind: envHeartbeat, Global: 1}); err != nil {
+	if err := r.accept(a, 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 1}); err != nil {
 		t.Errorf("in-order accept failed: %v", err)
 	}
-	if err := r.accept(a, 1, envelope{Kind: envHeartbeat, Global: 2}); err == nil {
+	if err := r.accept(a, 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 2}); err == nil {
 		t.Errorf("replayed seq must be rejected")
 	}
-	if err := r.accept(a, 3, envelope{Kind: envHeartbeat, Global: 3}); err != nil {
+	if err := r.accept(a, 3, wire.Envelope{Kind: wire.KindHeartbeat, Global: 3}); err != nil {
 		t.Errorf("gap buffering failed: %v", err)
 	}
-	if err := r.accept(a, 3, envelope{Kind: envHeartbeat, Global: 3}); err == nil {
+	if err := r.accept(a, 3, wire.Envelope{Kind: wire.KindHeartbeat, Global: 3}); err == nil {
 		t.Errorf("duplicate buffered seq must be rejected")
 	}
 }
@@ -456,17 +457,17 @@ func TestSelfReordererHearsOnlyItself(t *testing.T) {
 	roster := core.NewRoster([]core.SiteID{"a", "b", "c"})
 	self := roster.MustSite("b")
 	r := newSelfReorderer(roster, self)
-	if err := r.accept(roster.MustSite("a"), 1, envelope{Kind: envHeartbeat, Global: 1}); err == nil {
+	if err := r.accept(roster.MustSite("a"), 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 1}); err == nil {
 		t.Errorf("foreign source accepted by self-only reorderer")
 	}
 	occ := event.NewPrimitive("A", event.Explicit, core.DeriveStamp("b", 100, 10), nil)
-	if err := r.accept(self, 1, envelope{Kind: envEvent, Occ: occ}); err != nil {
+	if err := r.accept(self, 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
 		t.Fatal(err)
 	}
 	// Only its own frontier gates: the event's own stamp put the frontier
 	// at 10, so total order needs 11.
 	r.setFrontier(self, 11)
-	if n := r.release(ReleaseTotalOrder, func(envelope) {}); n != 1 {
+	if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != 1 {
 		t.Fatalf("self-only release = %d, want 1", n)
 	}
 }
@@ -476,18 +477,18 @@ func TestReleaseWaitsForAllFrontiers(t *testing.T) {
 	a, b := roster.MustSite("a"), roster.MustSite("b")
 	r := newReorderer(roster)
 	occ := event.NewPrimitive("A", event.Explicit, core.DeriveStamp("a", 100, 10), nil)
-	if err := r.accept(a, 1, envelope{Kind: envEvent, Occ: occ}); err != nil {
+	if err := r.accept(a, 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.release(ReleaseExtension, func(envelope) {}); n != 0 {
+	if n := len(r.releaseInto(ReleaseExtension, nil)); n != 0 {
 		t.Fatalf("released %d before source b ever spoke", n)
 	}
 	// Extension mode releases once no happen-before violation is
 	// possible: global 10 ≤ min frontier 9 + 1.
-	if err := r.accept(b, 1, envelope{Kind: envHeartbeat, Global: 9}); err != nil {
+	if err := r.accept(b, 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.release(ReleaseExtension, func(envelope) {}); n != 1 {
+	if n := len(r.releaseInto(ReleaseExtension, nil)); n != 1 {
 		t.Fatalf("released %d after frontiers caught up, want 1", n)
 	}
 }
@@ -497,29 +498,29 @@ func TestTotalOrderReleaseIsStricter(t *testing.T) {
 	a, b := roster.MustSite("a"), roster.MustSite("b")
 	r := newReorderer(roster)
 	occ := event.NewPrimitive("A", event.Explicit, core.DeriveStamp("a", 100, 10), nil)
-	if err := r.accept(a, 1, envelope{Kind: envEvent, Occ: occ}); err != nil {
+	if err := r.accept(a, 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
 		t.Fatal(err)
 	}
 	// minF = 9: extension would release (10 ≤ 10) but total order must
 	// hold until no global-≤-10 event can arrive (minF ≥ 11).
-	if err := r.accept(b, 1, envelope{Kind: envHeartbeat, Global: 9}); err != nil {
+	if err := r.accept(b, 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.release(ReleaseTotalOrder, func(envelope) {}); n != 0 {
+	if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != 0 {
 		t.Fatalf("total-order released %d at minF=9, want 0", n)
 	}
 	// Every frontier — including the event's own source — must pass
 	// global 11 before a global-10 event is totally ordered.
-	if err := r.accept(b, 2, envelope{Kind: envHeartbeat, Global: 11}); err != nil {
+	if err := r.accept(b, 2, wire.Envelope{Kind: wire.KindHeartbeat, Global: 11}); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.release(ReleaseTotalOrder, func(envelope) {}); n != 0 {
+	if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != 0 {
 		t.Fatalf("released %d while source a's frontier lags, want 0", n)
 	}
-	if err := r.accept(a, 2, envelope{Kind: envHeartbeat, Global: 11}); err != nil {
+	if err := r.accept(a, 2, wire.Envelope{Kind: wire.KindHeartbeat, Global: 11}); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.release(ReleaseTotalOrder, func(envelope) {}); n != 1 {
+	if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != 1 {
 		t.Fatalf("total-order released %d at minF=11, want 1", n)
 	}
 }

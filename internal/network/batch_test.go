@@ -6,12 +6,12 @@ import (
 )
 
 func TestSendBatchCountsEnvelopes(t *testing.T) {
-	b := NewBus(Config{})
-	m := b.SendBatch(0, "a", "b", []int{1, 2, 3}, 3, 120)
+	b := newTestBus(Config{})
+	m := b.SendBatchSite(0, site("a"), site("b"), []int{1, 2, 3}, 3, 120)
 	if m.Seq != 1 {
 		t.Fatalf("Seq = %d, want 1", m.Seq)
 	}
-	b.Send(0, "a", "b", nil) // singles share the same link seq space
+	send(b, 0, "a", "b", nil) // singles share the same link seq space
 	st := b.Stats()
 	if st.Sent != 2 || st.Envelopes != 4 || st.Batches != 1 || st.PayloadBytes != 120 {
 		t.Fatalf("stats = %+v", st)
@@ -27,28 +27,27 @@ func TestSendBatchCountsEnvelopes(t *testing.T) {
 }
 
 func TestSendBatchSingleEnvelopeIsNotABatch(t *testing.T) {
-	b := NewBus(Config{})
-	b.SendBatch(0, "a", "b", []int{1}, 1, 0)
+	b := newTestBus(Config{})
+	b.SendBatchSite(0, site("a"), site("b"), []int{1}, 1, 0)
 	if st := b.Stats(); st.Batches != 0 || st.Envelopes != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
-// SendUnbatched must give its n messages the exact delivery schedule
-// SendBatch would give the same traffic as one frame: one delay/loss
+// SendUnbatchedSite must give its n messages the exact delivery schedule
+// SendBatchSite would give the same traffic as one frame: one delay/loss
 // draw, shared DeliverAt and Attempts, consecutive link seqs.  ddetect's
 // DisableBatching differential mode depends on this.
 func TestSendUnbatchedSharesOneDraw(t *testing.T) {
 	cfg := Config{BaseLatency: 5, Jitter: 50, DropRate: 0.3, RetransmitDelay: 40, Seed: 7}
 
-	batched := NewBus(cfg)
-	bm := batched.SendBatch(100, "a", "b", "frame", 3, 0)
-	after := batched.Send(100, "a", "c", nil) // next draw on a fresh bus state
+	batched := newTestBus(cfg)
+	bm := batched.SendBatchSite(100, site("a"), site("b"), "frame", 3, 0)
+	after := send(batched, 100, "a", "c", nil) // next draw on a fresh bus state
 
-	un := NewBus(cfg)
-	var msgs []Message
-	un.SendUnbatched(100, "a", "b", 3, func(i int) any { return i })
-	un.DeliverDue(1<<40, func(m Message) { msgs = append(msgs, m) })
+	un := newTestBus(cfg)
+	un.SendUnbatchedSite(100, site("a"), site("b"), 3, func(i int) any { return i })
+	msgs := un.DrainDue(1<<40, nil)
 	if len(msgs) != 3 {
 		t.Fatalf("delivered %d, want 3", len(msgs))
 	}
@@ -66,7 +65,7 @@ func TestSendUnbatchedSharesOneDraw(t *testing.T) {
 	}
 	// Both modes consumed exactly one draw: the NEXT send sees the same
 	// RNG state.
-	unAfter := un.Send(100, "a", "c", nil)
+	unAfter := send(un, 100, "a", "c", nil)
 	if unAfter.DeliverAt != after.DeliverAt || unAfter.Attempts != after.Attempts {
 		t.Fatalf("post-flush draw diverged: (%d, %d) vs (%d, %d)",
 			unAfter.DeliverAt, unAfter.Attempts, after.DeliverAt, after.Attempts)
@@ -81,23 +80,40 @@ func TestSendUnbatchedSharesOneDraw(t *testing.T) {
 }
 
 func TestSendUnbatchedZero(t *testing.T) {
-	b := NewBus(Config{Jitter: 10, Seed: 1})
-	b.SendUnbatched(0, "a", "b", 0, func(int) any { return nil })
+	b := newTestBus(Config{Jitter: 10, Seed: 1})
+	b.SendUnbatchedSite(0, site("a"), site("b"), 0, func(int) any { return nil })
 	if st := b.Stats(); st.Sent != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// No draw consumed either: schedule matches a fresh bus.
-	fresh := NewBus(Config{Jitter: 10, Seed: 1})
-	if b.Send(0, "a", "b", nil).DeliverAt != fresh.Send(0, "a", "b", nil).DeliverAt {
-		t.Fatalf("SendUnbatched(n=0) consumed an RNG draw")
+	fresh := newTestBus(Config{Jitter: 10, Seed: 1})
+	if send(b, 0, "a", "b", nil).DeliverAt != send(fresh, 0, "a", "b", nil).DeliverAt {
+		t.Fatalf("SendUnbatchedSite(n=0) consumed an RNG draw")
+	}
+}
+
+// An unbatched run of serialized frames must account their bytes the way
+// a batch accounts its frame: the bus total and the link row both carry
+// the sum of the single-frame lengths.  In-memory payloads count nothing.
+func TestSendUnbatchedCountsFrameBytes(t *testing.T) {
+	b := newTestBus(Config{})
+	frames := [][]byte{make([]byte, 7), make([]byte, 19), make([]byte, 1)}
+	b.SendUnbatchedSite(0, site("a"), site("b"), len(frames), func(i int) any { return frames[i] })
+	b.SendUnbatchedSite(0, site("a"), site("b"), 2, func(i int) any { return i })
+	if st := b.Stats(); st.PayloadBytes != 27 || st.Sent != 5 || st.Envelopes != 5 {
+		t.Fatalf("stats = %+v, want 27 payload bytes over 5 single-envelope messages", st)
+	}
+	want := LinkStat{From: "a", To: "b", Sent: 5, Envelopes: 5, Bytes: 27}
+	if links := b.LinkStats(); len(links) != 1 || links[0] != want {
+		t.Fatalf("link stats = %+v, want %+v", links, want)
 	}
 }
 
 func TestLinkStatsSorted(t *testing.T) {
-	b := NewBus(Config{})
-	b.Send(0, "c", "a", nil)
-	b.Send(0, "a", "b", nil)
-	b.Send(0, "a", "a2", nil)
+	b := newTestBus(Config{})
+	send(b, 0, "c", "a", nil)
+	send(b, 0, "a", "b", nil)
+	send(b, 0, "a", "a2", nil)
 	var got [][2]string
 	for _, ls := range b.LinkStats() {
 		got = append(got, [2]string{string(ls.From), string(ls.To)})
@@ -111,15 +127,15 @@ func TestLinkStatsSorted(t *testing.T) {
 // The value-based heap must agree with a straightforward sort on the
 // (DeliverAt, push order) key across an adversarial schedule.
 func TestDeliveryQueueOrdering(t *testing.T) {
-	b := NewBus(Config{BaseLatency: 1, Jitter: 200, DropRate: 0.25, RetransmitDelay: 50, Seed: 99})
+	b := newTestBus(Config{BaseLatency: 1, Jitter: 200, DropRate: 0.25, RetransmitDelay: 50, Seed: 99})
 	const n = 500
 	for i := 0; i < n; i++ {
-		b.Send(int64(i), "a", "b", i)
+		send(b, int64(i), "a", "b", i)
 	}
 	var prevAt int64 = -1
 	seen := 0
 	var prevPayload int = -1
-	b.DeliverDue(1<<40, func(m Message) {
+	for _, m := range b.DrainDue(1<<40, nil) {
 		if m.DeliverAt < prevAt {
 			t.Fatalf("DeliverAt went backwards: %d after %d", m.DeliverAt, prevAt)
 		}
@@ -128,20 +144,21 @@ func TestDeliveryQueueOrdering(t *testing.T) {
 		}
 		prevAt, prevPayload = m.DeliverAt, m.Payload.(int)
 		seen++
-	})
+	}
 	if seen != n {
 		t.Fatalf("delivered %d, want %d", seen, n)
 	}
 }
 
 func BenchmarkBusSend(b *testing.B) {
-	bus := NewBus(Config{BaseLatency: 10, Jitter: 40, Seed: 1})
+	bus := newTestBus(Config{BaseLatency: 10, Jitter: 40, Seed: 1})
 	payload := struct{ x int }{1}
+	a, dst := site("a"), site("b")
 	var drain []Message
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bus.Send(int64(i), "a", "b", payload)
+		bus.SendBatchSite(int64(i), a, dst, payload, 1, 0)
 		if i%1024 == 1023 {
 			b.StopTimer()
 			drain = bus.DrainDue(int64(i)+1024, drain[:0])
@@ -151,13 +168,14 @@ func BenchmarkBusSend(b *testing.B) {
 }
 
 func BenchmarkBusSendBatch(b *testing.B) {
-	bus := NewBus(Config{BaseLatency: 10, Jitter: 40, Seed: 1})
+	bus := newTestBus(Config{BaseLatency: 10, Jitter: 40, Seed: 1})
 	payload := struct{ x int }{1}
+	a, dst := site("a"), site("b")
 	var drain []Message
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bus.SendBatch(int64(i), "a", "b", payload, 8, 256)
+		bus.SendBatchSite(int64(i), a, dst, payload, 8, 256)
 		if i%1024 == 1023 {
 			b.StopTimer()
 			drain = bus.DrainDue(int64(i)+1024, drain[:0])

@@ -8,52 +8,13 @@ import (
 	"repro/internal/core"
 )
 
-// TestDrainDueMatchesDeliverDue pins that the batch-drain path yields
-// exactly the per-message path's messages, in the same deterministic
-// (DeliverAt, send order) order, and reuses the caller's buffer.
-func TestDrainDueMatchesDeliverDue(t *testing.T) {
-	cfg := Config{BaseLatency: 10, Jitter: 50, Seed: 8}
-	load := func(b *Bus) {
-		for i := 0; i < 200; i++ {
-			b.Send(clock.Microticks(i), "a", "b", i)
-			b.Send(clock.Microticks(i), "b", "a", i)
-		}
-	}
-	one := NewBus(cfg)
-	load(one)
-	var want []Message
-	for now := clock.Microticks(0); one.Pending() > 0; now += 25 {
-		one.DeliverDue(now, func(m Message) { want = append(want, m) })
-	}
-
-	batch := NewBus(cfg)
-	load(batch)
-	var got []Message
-	var buf []Message
-	for now := clock.Microticks(0); batch.Pending() > 0; now += 25 {
-		buf = batch.DrainDue(now, buf[:0])
-		got = append(got, buf...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("drained %d messages, delivered %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("message %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
-	if batch.Stats().Delivered != one.Stats().Delivered {
-		t.Fatalf("delivered stats diverge: %d vs %d", batch.Stats().Delivered, one.Stats().Delivered)
-	}
-}
-
 func TestDrainDueEmptyAndBufferGrowth(t *testing.T) {
-	b := NewBus(Config{})
+	b := newTestBus(Config{})
 	if got := b.DrainDue(100, nil); got != nil {
 		t.Fatalf("empty bus drained %v", got)
 	}
 	for i := 0; i < 10; i++ {
-		b.Send(0, "a", "b", i)
+		send(b, 0, "a", "b", i)
 	}
 	buf := make([]Message, 0, 2) // force growth
 	buf = b.DrainDue(0, buf)
@@ -67,29 +28,20 @@ func TestDrainDueEmptyAndBufferGrowth(t *testing.T) {
 	}
 }
 
-// loadBus enqueues n messages across k links, all due by horizon.
-func loadBus(b *Bus, n int) {
-	for i := 0; i < n; i++ {
-		from := core.SiteID(fmt.Sprintf("s%d", i%8))
-		to := core.SiteID(fmt.Sprintf("s%d", (i+1)%8))
-		b.Send(clock.Microticks(i%100), from, to, i)
+// ringRoster is the 8-site membership the drain benchmark loads.
+var ringRoster = func() *core.Roster {
+	ids := make([]core.SiteID, 8)
+	for i := range ids {
+		ids[i] = core.SiteID(fmt.Sprintf("s%d", i))
 	}
-}
+	return core.NewRoster(ids)
+}()
 
-// BenchmarkDeliverDue measures the legacy per-message drain (one lock
-// round trip per message).
-func BenchmarkDeliverDue(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		bus := NewBus(Config{BaseLatency: 5, Jitter: 20, Seed: 1})
-		loadBus(bus, 1024)
-		b.StartTimer()
-		n := 0
-		bus.DeliverDue(1_000_000, func(m Message) { n++ })
-		if n != 1024 {
-			b.Fatalf("delivered %d", n)
-		}
+// loadBus enqueues n messages around the 8-link ring, all due by horizon.
+func loadBus(b *Bus, n int) {
+	b.SetRoster(ringRoster)
+	for i := 0; i < n; i++ {
+		b.SendBatchSite(clock.Microticks(i%100), core.Site(i%8), core.Site((i+1)%8), i, 1, 0)
 	}
 }
 

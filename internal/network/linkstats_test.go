@@ -12,11 +12,11 @@ import (
 // meshTraffic drives a deterministic mix of single sends, coalesced
 // batches and unbatched runs over a 3-site mesh and returns the bus
 // send-side expectation per link.
-func meshTraffic(b *Bus) map[linkKey]LinkStat {
+func meshTraffic(b *Bus) map[[2]core.SiteID]LinkStat {
 	sites := []core.SiteID{"a", "b", "c"}
-	want := map[linkKey]LinkStat{}
+	want := map[[2]core.SiteID]LinkStat{}
 	acc := func(from, to core.SiteID, sent, envs, batches, bytes uint64) {
-		k := linkKey{from: from, to: to}
+		k := [2]core.SiteID{from, to}
 		ls := want[k]
 		ls.From, ls.To = from, to
 		ls.Sent += sent
@@ -30,15 +30,15 @@ func meshTraffic(b *Bus) map[linkKey]LinkStat {
 		now += 10
 		for i, from := range sites {
 			to := sites[(i+1)%len(sites)]
-			b.Send(now, from, to, round)
+			send(b, now, from, to, round)
 			acc(from, to, 1, 1, 0, 0)
 			if round%2 == 0 {
 				back := sites[(i+2)%len(sites)]
-				b.SendBatch(now, from, back, []int{round, round}, 2, 64)
+				b.SendBatchSite(now, site(from), site(back), []int{round, round}, 2, 64)
 				acc(from, back, 1, 2, 1, 64)
 			}
 			if round%5 == 0 {
-				b.SendUnbatched(now, from, to, 3, func(j int) any { return j })
+				b.SendUnbatchedSite(now, site(from), site(to), 3, func(j int) any { return j })
 				acc(from, to, 3, 3, 0, 0)
 			}
 		}
@@ -52,7 +52,7 @@ func meshTraffic(b *Bus) map[linkKey]LinkStat {
 // snapshot stays (From, To)-sorted, and the per-link rows sum to the
 // global Stats counters.
 func TestLinkStatsUnderLossAndReorder(t *testing.T) {
-	b := NewBus(Config{BaseLatency: 5, Jitter: 50, DropRate: 0.3, RetransmitDelay: 40, Seed: 8})
+	b := newTestBus(Config{BaseLatency: 5, Jitter: 50, DropRate: 0.3, RetransmitDelay: 40, Seed: 8})
 	want := meshTraffic(b)
 
 	got := b.LinkStats()
@@ -67,7 +67,7 @@ func TestLinkStatsUnderLossAndReorder(t *testing.T) {
 				t.Fatalf("LinkStats not sorted by (From, To): %v before %v", prev, ls)
 			}
 		}
-		if w := want[linkKey{from: ls.From, to: ls.To}]; ls != w {
+		if w := want[[2]core.SiteID{ls.From, ls.To}]; ls != w {
 			t.Errorf("link %s->%s = %+v, want %+v (adversity must not leak into send accounting)",
 				ls.From, ls.To, ls, w)
 		}
@@ -91,11 +91,13 @@ func TestLinkStatsUnderLossAndReorder(t *testing.T) {
 	delivered := 0
 	for b.Pending() > 0 {
 		at, _ := b.NextDeliveryAt()
-		delivered += b.DeliverDue(at, func(m Message) {
+		due := b.DrainDue(at, nil)
+		for _, m := range due {
 			if m.SentAt > at {
 				t.Errorf("message delivered before it was sent: %+v", m)
 			}
-		})
+		}
+		delivered += len(due)
 	}
 	if uint64(delivered) != st.Sent {
 		t.Fatalf("delivered %d of %d sent messages", delivered, st.Sent)
@@ -110,8 +112,8 @@ func TestLinkStatsUnderLossAndReorder(t *testing.T) {
 // network and a jittery, lossy one fed the same traffic — the delivery
 // schedule owns delay and retransmission, the links own accounting.
 func TestLinkStatsAdversityInvariant(t *testing.T) {
-	perfect := NewBus(Config{})
-	adverse := NewBus(Config{BaseLatency: 20, Jitter: 200, DropRate: 0.25, RetransmitDelay: 75, Seed: 3})
+	perfect := newTestBus(Config{})
+	adverse := newTestBus(Config{BaseLatency: 20, Jitter: 200, DropRate: 0.25, RetransmitDelay: 75, Seed: 3})
 	meshTraffic(perfect)
 	meshTraffic(adverse)
 	a, p := adverse.LinkStats(), perfect.LinkStats()
@@ -128,15 +130,17 @@ func TestLinkStatsAdversityInvariant(t *testing.T) {
 // numbers stay monotone in send order — the property ddetect's reorder
 // buffer rebuilds FIFO from.
 func TestLinkStatsReorderWithinLink(t *testing.T) {
-	b := NewBus(Config{BaseLatency: 1, Jitter: 500, Seed: 11})
+	b := newTestBus(Config{BaseLatency: 1, Jitter: 500, Seed: 11})
 	const n = 40
 	for i := 0; i < n; i++ {
-		b.Send(clock.Microticks(i*5), "a", "b", i)
+		send(b, clock.Microticks(i*5), "a", "b", i)
 	}
 	var seqs []uint64
 	for b.Pending() > 0 {
 		at, _ := b.NextDeliveryAt()
-		b.DeliverDue(at, func(m Message) { seqs = append(seqs, m.Seq) })
+		for _, m := range b.DrainDue(at, nil) {
+			seqs = append(seqs, m.Seq)
+		}
 	}
 	if len(seqs) != n {
 		t.Fatalf("delivered %d of %d", len(seqs), n)

@@ -12,13 +12,15 @@
 // cross-site ordering, exactly the problem Section 5 of the paper's
 // timestamp algebra exists to solve.
 //
-// A message may carry more than one application envelope: SendBatch
-// models one physical frame coalescing a tick's traffic for a link (the
-// transport batching of internal/ddetect), and the Stats distinguish
-// messages sent from envelopes carried so the coalescing ratio is
-// measurable.  SendUnbatched is the differential twin — the same traffic
-// as envelope-per-message frames under the same delay schedule — used to
-// prove batching is a pure transport optimization.
+// Sites are addressed by their dense index in the core.Roster the bus is
+// given at seal (SetRoster); the bus holds no site names beyond that
+// roster.  A message may carry more than one application envelope:
+// SendBatchSite models one physical frame coalescing a tick's traffic for
+// a link (the transport batching of internal/ddetect), and the Stats
+// distinguish messages sent from envelopes carried so the coalescing
+// ratio is measurable.  SendUnbatchedSite is the differential twin — the
+// same traffic as envelope-per-message frames under the same delay
+// schedule — used to prove batching is a pure transport optimization.
 package network
 
 import (
@@ -33,13 +35,12 @@ import (
 
 // Message is one transmission on the bus.
 type Message struct {
-	From, To core.SiteID
-	// FromSite and ToSite are the dense roster indexes of From and To when
-	// the message was sent through one of the roster-native Site methods;
-	// core.NoSite otherwise.  Receivers on the hot path dispatch on these
-	// instead of re-resolving the string IDs.
+	// FromSite and ToSite are the dense roster indexes of the sender and
+	// the receiver: after seal a site is its index, and the roster the bus
+	// was given resolves a name where a report wants one.
 	FromSite, ToSite core.Site
-	// Seq is the per-(From,To)-link FIFO sequence number, starting at 1.
+	// Seq is the per-(FromSite,ToSite)-link FIFO sequence number, starting
+	// at 1.
 	Seq uint64
 	// SentAt and DeliverAt are reference times.
 	SentAt, DeliverAt clock.Microticks
@@ -90,7 +91,7 @@ type Stats struct {
 	Retransmitted uint64
 	MaxInFlight   int
 	// Envelopes is the number of application envelopes carried across
-	// all messages (SendBatch adds its whole batch to one message).
+	// all messages (SendBatchSite adds its whole batch to one message).
 	Envelopes uint64
 	// Batches is the number of messages that coalesced more than one
 	// envelope.
@@ -117,20 +118,13 @@ type Bus struct {
 	rng     *rand.Rand
 	queue   deliveryQueue
 	pushSeq uint64
-	links   map[linkKey]*linkState
-	// byFrom is the dense (from,to) link index, populated once SetRoster
-	// attaches a roster: byFrom[from] holds the destinations this site has
-	// ever sent to, resolved by a short linear scan (a site's out-degree is
-	// the number of sinks it feeds — small by construction, see ddetect's
-	// seal).  It indexes the same *linkState values as the string map, which
-	// stays authoritative for rosterless sends and LinkStats enumeration.
+	// byFrom is the (from,to) link index, sized by SetRoster: byFrom[from]
+	// holds the destinations this site has ever sent to, resolved by a
+	// short linear scan (a site's out-degree is the number of sinks it
+	// feeds — small by construction, see ddetect's seal).
 	byFrom []fromLinks
 	roster *core.Roster
 	stats  Stats
-}
-
-type linkKey struct {
-	from, to core.SiteID
 }
 
 // fromLinks is one site's outbound links: parallel destination-index and
@@ -140,10 +134,8 @@ type fromLinks struct {
 	ls  []*linkState
 }
 
-// linkState carries the per-link FIFO counter and activity counters in
-// one map entry, so the Send hot path resolves a link with one lookup.
+// linkState carries one link's FIFO counter and activity counters.
 type linkState struct {
-	key       linkKey
 	seq       uint64
 	sent      uint64
 	envelopes uint64
@@ -157,63 +149,30 @@ func NewBus(cfg Config) *Bus {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Bus{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		links: make(map[linkKey]*linkState),
-	}
+	return &Bus{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// SetRoster attaches the sealed site roster, enabling the dense link
-// index and the Site send methods.  Call it before traffic flows (ddetect
-// does so at seal); links opened earlier through the string path are
-// re-homed into the dense index.
+// SetRoster attaches the sealed site roster the send methods' indexes
+// refer to.  Call it once, before traffic flows (ddetect does so at seal).
 func (b *Bus) SetRoster(r *core.Roster) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.roster = r
 	b.byFrom = make([]fromLinks, r.Len())
-	for k, ls := range b.links { //lint:allow mapiter — one-time re-home at seal; per-link state is independent, so index order is immaterial
-		f, t := r.Site(k.from), r.Site(k.to)
-		if f != core.NoSite && t != core.NoSite {
-			b.byFrom[f].tos = append(b.byFrom[f].tos, t)
-			b.byFrom[f].ls = append(b.byFrom[f].ls, ls)
-		}
-	}
 }
 
-// link returns (creating on first use) the state for a link, keeping the
-// dense index in sync when a roster is attached.
-func (b *Bus) link(from, to core.SiteID) *linkState {
-	k := linkKey{from: from, to: to}
-	ls := b.links[k]
-	if ls == nil {
-		ls = &linkState{key: k}
-		b.links[k] = ls
-		if b.roster != nil {
-			if f, t := b.roster.Site(from), b.roster.Site(to); f != core.NoSite && t != core.NoSite {
-				b.byFrom[f].tos = append(b.byFrom[f].tos, t)
-				b.byFrom[f].ls = append(b.byFrom[f].ls, ls)
-			}
-		}
-	}
-	return ls
-}
-
-// linkSite resolves a link by dense indexes: a short scan of the sender's
-// destination list, falling through to creation on first use.  Requires a
-// roster (the Site send methods are unreachable without one).
-func (b *Bus) linkSite(from, to core.Site) *linkState {
+// link resolves a link: a short scan of the sender's destination list,
+// falling through to creation on first use.  Caller holds b.mu.
+func (b *Bus) link(from, to core.Site) *linkState {
 	fl := &b.byFrom[from]
 	for i, t := range fl.tos {
 		if t == to {
 			return fl.ls[i]
 		}
 	}
-	ls := &linkState{key: linkKey{from: b.roster.ID(from), to: b.roster.ID(to)}}
+	ls := &linkState{}
 	fl.tos = append(fl.tos, to)
 	fl.ls = append(fl.ls, ls)
-	b.links[ls.key] = ls
 	return ls
 }
 
@@ -243,80 +202,22 @@ func (b *Bus) enqueue(m Message) {
 	}
 }
 
-// Send enqueues a single-envelope message at reference time now and
-// returns it with its link sequence number and delivery time filled in.
+// SendBatchSite enqueues one message from site from to site to carrying
+// envelopes coalesced application envelopes (the payload is their
+// container — a slice or an encoded batch frame of bytes bytes; pass
+// bytes 0 for in-memory payloads).  The batch consumes exactly one
+// latency/jitter/loss draw: it models one physical frame on the link.
 //
 //sentinel:hotpath
-func (b *Bus) Send(now clock.Microticks, from, to core.SiteID, payload any) Message {
+func (b *Bus) SendBatchSite(now clock.Microticks, from, to core.Site, payload any, envelopes, bytes int) Message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ls := b.link(from, to)
 	delay, attempts := b.draw()
 	ls.seq++
 	m := Message{
-		From:      from,
-		To:        to,
-		FromSite:  core.NoSite,
-		ToSite:    core.NoSite,
-		Seq:       ls.seq,
-		SentAt:    now,
-		DeliverAt: now + delay,
-		Attempts:  attempts,
-		Payload:   payload,
-	}
-	if b.roster != nil {
-		m.FromSite, m.ToSite = b.roster.Site(from), b.roster.Site(to)
-	}
-	b.enqueue(m)
-	ls.sent++
-	ls.envelopes++
-	b.stats.Envelopes++
-	if attempts > 1 {
-		b.stats.Retransmitted += uint64(attempts - 1)
-	}
-	return m
-}
-
-// SendBatch enqueues one message carrying envelopes coalesced application
-// envelopes (the payload is their container — a slice or an encoded batch
-// frame of bytes bytes; pass bytes 0 for in-memory payloads).  The batch
-// consumes exactly one latency/jitter/loss draw: it models one physical
-// frame on the link.
-//
-//sentinel:hotpath
-func (b *Bus) SendBatch(now clock.Microticks, from, to core.SiteID, payload any, envelopes, bytes int) Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	fromSite, toSite := core.NoSite, core.NoSite
-	if b.roster != nil {
-		fromSite, toSite = b.roster.Site(from), b.roster.Site(to)
-	}
-	return b.sendBatchLocked(now, b.link(from, to), from, to, fromSite, toSite, payload, envelopes, bytes)
-}
-
-// SendBatchSite is SendBatch addressed by dense roster indexes — the form
-// the transport coalescer uses once the topology is sealed.  Link
-// resolution is a slice index plus a short scan; no string is hashed.
-//
-//sentinel:hotpath
-func (b *Bus) SendBatchSite(now clock.Microticks, from, to core.Site, payload any, envelopes, bytes int) Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ls := b.linkSite(from, to)
-	return b.sendBatchLocked(now, ls, ls.key.from, ls.key.to, from, to, payload, envelopes, bytes)
-}
-
-// sendBatchLocked is the shared body of SendBatch/SendBatchSite.  Caller
-// holds b.mu.
-func (b *Bus) sendBatchLocked(now clock.Microticks, ls *linkState, from, to core.SiteID,
-	fromSite, toSite core.Site, payload any, envelopes, bytes int) Message {
-	delay, attempts := b.draw()
-	ls.seq++
-	m := Message{
-		From:      from,
-		To:        to,
-		FromSite:  fromSite,
-		ToSite:    toSite,
+		FromSite:  from,
+		ToSite:    to,
 		Seq:       ls.seq,
 		SentAt:    now,
 		DeliverAt: now + delay,
@@ -339,30 +240,15 @@ func (b *Bus) sendBatchLocked(now clock.Microticks, ls *linkState, from, to core
 	return m
 }
 
-// SendUnbatched enqueues n consecutive messages on the (from,to) link —
-// payloadAt(i) supplies the i-th payload — all sharing a single
-// latency/jitter/loss draw, exactly the schedule SendBatch would give the
-// same traffic as one coalesced frame.  It is the differential twin of
-// SendBatch (ddetect's DisableBatching mode): per-envelope framing, same
-// deterministic delivery order, so detection results can be compared
-// byte for byte.  payloadAt is invoked with the bus lock held and must
+// SendUnbatchedSite enqueues n consecutive messages on the (from,to) link
+// — payloadAt(i) supplies the i-th payload — all sharing a single
+// latency/jitter/loss draw, exactly the schedule SendBatchSite would give
+// the same traffic as one coalesced frame.  It is the differential twin
+// of SendBatchSite (ddetect's DisableBatching mode): per-envelope
+// framing, same deterministic delivery order, so detection results can
+// be compared byte for byte.  A []byte payload counts its length as
+// payload bytes.  payloadAt is invoked with the bus lock held and must
 // not call back into the Bus.
-//
-//sentinel:hotpath
-func (b *Bus) SendUnbatched(now clock.Microticks, from, to core.SiteID, n int, payloadAt func(int) any) {
-	if n <= 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	fromSite, toSite := core.NoSite, core.NoSite
-	if b.roster != nil {
-		fromSite, toSite = b.roster.Site(from), b.roster.Site(to)
-	}
-	b.sendUnbatchedLocked(b.link(from, to), now, from, to, fromSite, toSite, n, payloadAt)
-}
-
-// SendUnbatchedSite is SendUnbatched addressed by dense roster indexes.
 //
 //sentinel:hotpath
 func (b *Bus) SendUnbatchedSite(now clock.Microticks, from, to core.Site, n int, payloadAt func(int) any) {
@@ -371,32 +257,30 @@ func (b *Bus) SendUnbatchedSite(now clock.Microticks, from, to core.Site, n int,
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ls := b.linkSite(from, to)
-	b.sendUnbatchedLocked(ls, now, ls.key.from, ls.key.to, from, to, n, payloadAt)
-}
-
-// sendUnbatchedLocked is the shared body of SendUnbatched and its Site
-// twin.  Caller holds b.mu.
-func (b *Bus) sendUnbatchedLocked(ls *linkState, now clock.Microticks, from, to core.SiteID,
-	fromSite, toSite core.Site, n int, payloadAt func(int) any) {
+	ls := b.link(from, to)
 	delay, attempts := b.draw()
+	bytes := 0
 	for i := 0; i < n; i++ {
 		ls.seq++
+		payload := payloadAt(i)
+		if frame, ok := payload.([]byte); ok {
+			bytes += len(frame)
+		}
 		b.enqueue(Message{
-			From:      from,
-			To:        to,
-			FromSite:  fromSite,
-			ToSite:    toSite,
+			FromSite:  from,
+			ToSite:    to,
 			Seq:       ls.seq,
 			SentAt:    now,
 			DeliverAt: now + delay,
 			Attempts:  attempts,
-			Payload:   payloadAt(i),
+			Payload:   payload,
 		})
 	}
 	ls.sent += uint64(n)
 	ls.envelopes += uint64(n)
+	ls.bytes += uint64(bytes)
 	b.stats.Envelopes += uint64(n)
+	b.stats.PayloadBytes += uint64(bytes)
 	if attempts > 1 {
 		b.stats.Retransmitted += uint64(attempts - 1)
 	}
@@ -437,26 +321,6 @@ func (b *Bus) DrainDue(now clock.Microticks, buf []Message) []Message {
 	return buf
 }
 
-// DeliverDue pops every message due at or before now, in deterministic
-// (DeliverAt, send order) order, and hands each to fn.
-//
-//sentinel:hotpath
-func (b *Bus) DeliverDue(now clock.Microticks, fn func(Message)) int {
-	n := 0
-	for {
-		b.mu.Lock()
-		if len(b.queue) == 0 || b.queue[0].msg.DeliverAt > now {
-			b.mu.Unlock()
-			return n
-		}
-		q := b.queue.pop()
-		b.stats.Delivered++
-		b.mu.Unlock()
-		fn(q.msg)
-		n++
-	}
-}
-
 // Pending returns the number of in-flight messages.
 func (b *Bus) Pending() int {
 	b.mu.Lock()
@@ -481,24 +345,25 @@ func (b *Bus) Stats() Stats {
 	return b.stats
 }
 
-// LinkStats returns the per-link activity breakdown, sorted by (From, To)
-// for deterministic reporting.
+// LinkStats returns the per-link activity breakdown in (From, To) roster
+// order — which is SiteID order — resolving names at snapshot time.
 func (b *Bus) LinkStats() []LinkStat {
 	b.mu.Lock()
-	out := make([]LinkStat, 0, len(b.links))
-	for _, ls := range b.links { //lint:allow mapiter — snapshot is sorted below; map order never escapes
-		out = append(out, LinkStat{
-			From: ls.key.from, To: ls.key.to,
-			Sent: ls.sent, Envelopes: ls.envelopes, Batches: ls.batches, Bytes: ls.bytes,
-		})
-	}
-	b.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	defer b.mu.Unlock()
+	var out []LinkStat
+	for from := range b.byFrom {
+		fl := &b.byFrom[from]
+		first := len(out)
+		for i, ls := range fl.ls {
+			out = append(out, LinkStat{
+				From: b.roster.ID(core.Site(from)), To: b.roster.ID(fl.tos[i]),
+				Sent: ls.sent, Envelopes: ls.envelopes, Batches: ls.batches, Bytes: ls.bytes,
+			})
 		}
-		return out[i].To < out[j].To
-	})
+		// A sender's links are in first-use order; its row block is short.
+		row := out[first:]
+		sort.Slice(row, func(i, j int) bool { return row[i].To < row[j].To })
+	}
 	return out
 }
 

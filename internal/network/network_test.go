@@ -2,15 +2,37 @@ package network
 
 import (
 	"testing"
+
+	"repro/internal/clock"
+	"repro/internal/core"
 )
 
+// testRoster is the membership every test bus is sealed over; its index
+// order is the SiteID order a < a2 < b < c.
+var testRoster = core.NewRoster([]core.SiteID{"a", "a2", "b", "c"})
+
+func newTestBus(cfg Config) *Bus {
+	b := NewBus(cfg)
+	b.SetRoster(testRoster)
+	return b
+}
+
+func site(id core.SiteID) core.Site { return testRoster.MustSite(id) }
+
+// send puts one single-envelope message on the (from,to) link.
+func send(b *Bus, now clock.Microticks, from, to core.SiteID, payload any) Message {
+	return b.SendBatchSite(now, site(from), site(to), payload, 1, 0)
+}
+
 func TestPerfectNetworkDeliversInOrder(t *testing.T) {
-	b := NewBus(Config{})
+	b := newTestBus(Config{})
 	for i := 0; i < 5; i++ {
-		b.Send(int64(i), "a", "b", i)
+		send(b, int64(i), "a", "b", i)
 	}
 	var got []int
-	b.DeliverDue(100, func(m Message) { got = append(got, m.Payload.(int)) })
+	for _, m := range b.DrainDue(100, nil) {
+		got = append(got, m.Payload.(int))
+	}
 	if len(got) != 5 {
 		t.Fatalf("delivered %d, want 5", len(got))
 	}
@@ -22,30 +44,32 @@ func TestPerfectNetworkDeliversInOrder(t *testing.T) {
 }
 
 func TestLinkSequenceNumbers(t *testing.T) {
-	b := NewBus(Config{})
-	m1 := b.Send(0, "a", "b", nil)
-	m2 := b.Send(0, "a", "b", nil)
-	m3 := b.Send(0, "a", "c", nil)
-	m4 := b.Send(0, "c", "b", nil)
+	b := newTestBus(Config{})
+	m1 := send(b, 0, "a", "b", nil)
+	m2 := send(b, 0, "a", "b", nil)
+	m3 := send(b, 0, "a", "c", nil)
+	m4 := send(b, 0, "c", "b", nil)
 	if m1.Seq != 1 || m2.Seq != 2 {
 		t.Errorf("same-link seqs = %d, %d", m1.Seq, m2.Seq)
 	}
 	if m3.Seq != 1 || m4.Seq != 1 {
 		t.Errorf("distinct links must have independent seqs: %d, %d", m3.Seq, m4.Seq)
 	}
+	if m4.FromSite != site("c") || m4.ToSite != site("b") {
+		t.Errorf("message addressed %d->%d, want %d->%d", m4.FromSite, m4.ToSite, site("c"), site("b"))
+	}
 }
 
 func TestLatencyDefersDelivery(t *testing.T) {
-	b := NewBus(Config{BaseLatency: 50})
-	b.Send(10, "a", "b", "x")
-	n := b.DeliverDue(59, func(Message) {})
-	if n != 0 {
+	b := newTestBus(Config{BaseLatency: 50})
+	send(b, 10, "a", "b", "x")
+	if n := len(b.DrainDue(59, nil)); n != 0 {
 		t.Fatalf("delivered before due")
 	}
 	if due, ok := b.NextDeliveryAt(); !ok || due != 60 {
 		t.Fatalf("NextDeliveryAt = %d, %v", due, ok)
 	}
-	if n := b.DeliverDue(60, func(Message) {}); n != 1 {
+	if n := len(b.DrainDue(60, nil)); n != 1 {
 		t.Fatalf("due message not delivered")
 	}
 	if _, ok := b.NextDeliveryAt(); ok {
@@ -54,13 +78,15 @@ func TestLatencyDefersDelivery(t *testing.T) {
 }
 
 func TestJitterReorders(t *testing.T) {
-	b := NewBus(Config{BaseLatency: 10, Jitter: 100, Seed: 1})
+	b := newTestBus(Config{BaseLatency: 10, Jitter: 100, Seed: 1})
 	const n = 50
 	for i := 0; i < n; i++ {
-		b.Send(int64(i), "a", "b", i)
+		send(b, int64(i), "a", "b", i)
 	}
 	var got []int
-	b.DeliverDue(1_000, func(m Message) { got = append(got, m.Payload.(int)) })
+	for _, m := range b.DrainDue(1_000, nil) {
+		got = append(got, m.Payload.(int))
+	}
 	if len(got) != n {
 		t.Fatalf("delivered %d, want %d", len(got), n)
 	}
@@ -76,13 +102,12 @@ func TestJitterReorders(t *testing.T) {
 }
 
 func TestDropsRetransmit(t *testing.T) {
-	b := NewBus(Config{DropRate: 0.5, RetransmitDelay: 100, Seed: 3})
+	b := newTestBus(Config{DropRate: 0.5, RetransmitDelay: 100, Seed: 3})
 	const n = 100
 	for i := 0; i < n; i++ {
-		b.Send(0, "a", "b", i)
+		send(b, 0, "a", "b", i)
 	}
-	delivered := 0
-	b.DeliverDue(1_000_000, func(Message) { delivered++ })
+	delivered := len(b.DrainDue(1_000_000, nil))
 	if delivered != n {
 		t.Fatalf("reliable delivery broken: %d of %d", delivered, n)
 	}
@@ -96,8 +121,8 @@ func TestDropsRetransmit(t *testing.T) {
 }
 
 func TestAttemptsRecorded(t *testing.T) {
-	b := NewBus(Config{DropRate: 0.9, RetransmitDelay: 10, Seed: 12})
-	m := b.Send(0, "a", "b", nil)
+	b := newTestBus(Config{DropRate: 0.9, RetransmitDelay: 10, Seed: 12})
+	m := send(b, 0, "a", "b", nil)
 	if m.Attempts < 1 {
 		t.Fatalf("Attempts = %d", m.Attempts)
 	}
@@ -108,10 +133,10 @@ func TestAttemptsRecorded(t *testing.T) {
 
 func TestDeterministicSchedule(t *testing.T) {
 	mk := func() []int64 {
-		b := NewBus(Config{BaseLatency: 5, Jitter: 50, DropRate: 0.2, RetransmitDelay: 30, Seed: 42})
+		b := newTestBus(Config{BaseLatency: 5, Jitter: 50, DropRate: 0.2, RetransmitDelay: 30, Seed: 42})
 		var due []int64
 		for i := 0; i < 20; i++ {
-			due = append(due, b.Send(int64(i), "a", "b", nil).DeliverAt)
+			due = append(due, send(b, int64(i), "a", "b", nil).DeliverAt)
 		}
 		return due
 	}
@@ -151,9 +176,9 @@ func TestNewBusPanicsOnBadConfig(t *testing.T) {
 }
 
 func TestMaxInFlightTracked(t *testing.T) {
-	b := NewBus(Config{BaseLatency: 100})
+	b := newTestBus(Config{BaseLatency: 100})
 	for i := 0; i < 7; i++ {
-		b.Send(0, "a", "b", nil)
+		send(b, 0, "a", "b", nil)
 	}
 	if st := b.Stats(); st.MaxInFlight != 7 {
 		t.Fatalf("MaxInFlight = %d, want 7", st.MaxInFlight)

@@ -14,11 +14,11 @@ import (
 //	KindBatch | uvarint count | count × (uvarint length | envelope bytes)
 //
 // Each member is a complete single-envelope frame as produced by
-// EncodeAppend, so the batch adds exactly one byte, one count and one
-// length prefix per member over the unbatched wire format.  Batches never
-// nest: a KindBatch byte in an envelope position is ErrNestedBatch, both
-// when encoding and when decoding, so the frame grammar stays one level
-// deep no matter what arrives off the network.
+// Codec.EncodeAppend, so the batch adds exactly one byte, one count and
+// one length prefix per member over the unbatched wire format.  Batches
+// never nest: a KindBatch byte in an envelope position is ErrNestedBatch,
+// both when encoding and when decoding, so the frame grammar stays one
+// level deep no matter what arrives off the network.
 
 // scratchPool recycles the per-envelope staging buffer AppendBatch needs
 // to learn each member's length before writing its prefix.  With a
@@ -28,13 +28,7 @@ var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 // AppendBatch encodes envs as one batch frame, appending to dst (which
 // may be nil or a recycled buffer).  It rejects empty batches and
 // KindBatch members.
-func AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
-	return appendBatchWith(dst, envs, EncodeAppend)
-}
-
-// appendBatchWith is the shared batch-framing body: enc supplies the
-// member encoding (the string EncodeAppend, or a Codec's dense form).
-func appendBatchWith(dst []byte, envs []Envelope, enc func([]byte, Envelope) ([]byte, error)) ([]byte, error) {
+func (c *Codec) AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
 	if len(envs) == 0 {
 		return nil, errors.New("wire: empty batch")
 	}
@@ -48,7 +42,7 @@ func appendBatchWith(dst []byte, envs []Envelope, enc func([]byte, Envelope) ([]
 	scratch := *sp
 	var err error
 	for i := range envs {
-		scratch, err = enc(scratch[:0], envs[i])
+		scratch, err = c.EncodeAppend(scratch[:0], envs[i])
 		if err != nil {
 			err = fmt.Errorf("wire: batch envelope %d: %w", i, err)
 			dst = nil
@@ -71,13 +65,7 @@ func IsBatch(buf []byte) bool {
 // frame order; fn's error aborts the scan.  Decoding streams: memory use
 // is bounded by one envelope regardless of the count the frame claims,
 // and all the single-envelope hostile-input limits apply to each member.
-func DecodeBatch(buf []byte, fn func(Envelope) error) error {
-	return decodeBatchWith(buf, Decode, fn)
-}
-
-// decodeBatchWith is the shared batch-walking body: dec parses each
-// member frame (the string Decode, or a Codec's dense-aware form).
-func decodeBatchWith(buf []byte, dec func([]byte) (Envelope, error), fn func(Envelope) error) error {
+func (c *Codec) DecodeBatch(buf []byte, fn func(Envelope) error) error {
 	r := &reader{buf: buf}
 	kind, err := r.byte()
 	if err != nil {
@@ -109,7 +97,7 @@ func decodeBatchWith(buf []byte, dec func([]byte) (Envelope, error), fn func(Env
 		r.pos += int(l)
 		// Decode rejects trailing garbage, so the member must fill its
 		// declared window exactly, and rejects KindBatch (ErrNestedBatch).
-		e, err := dec(member)
+		e, err := c.Decode(member)
 		if err != nil {
 			return fmt.Errorf("wire: batch envelope %d: %w", i, err)
 		}

@@ -25,7 +25,7 @@ func sampleEnvelopes() []Envelope {
 
 func encodeBatch(t *testing.T, envs []Envelope) []byte {
 	t.Helper()
-	buf, err := AppendBatch(nil, envs)
+	buf, err := testCodec().AppendBatch(nil, envs)
 	if err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
@@ -34,7 +34,7 @@ func encodeBatch(t *testing.T, envs []Envelope) []byte {
 
 func decodeBatchAll(buf []byte) ([]Envelope, error) {
 	var out []Envelope
-	err := DecodeBatch(buf, func(e Envelope) error {
+	err := testCodec().DecodeBatch(buf, func(e Envelope) error {
 		out = append(out, e)
 		return nil
 	})
@@ -88,7 +88,7 @@ func TestBatchMembersMatchSingleFrames(t *testing.T) {
 		}
 		member := r.buf[r.pos : r.pos+int(l)]
 		r.pos += int(l)
-		single, err := Encode(e)
+		single, err := testCodec().Encode(e)
 		if err != nil {
 			t.Fatalf("Encode member %d: %v", i, err)
 		}
@@ -99,13 +99,14 @@ func TestBatchMembersMatchSingleFrames(t *testing.T) {
 }
 
 func TestEncodeAppendMatchesEncode(t *testing.T) {
+	c := testCodec()
 	for i, e := range sampleEnvelopes() {
-		a, err := Encode(e)
+		a, err := c.Encode(e)
 		if err != nil {
 			t.Fatalf("Encode %d: %v", i, err)
 		}
 		prefix := []byte{0xde, 0xad}
-		b, err := EncodeAppend(prefix, e)
+		b, err := c.EncodeAppend(prefix, e)
 		if err != nil {
 			t.Fatalf("EncodeAppend %d: %v", i, err)
 		}
@@ -117,7 +118,7 @@ func TestEncodeAppendMatchesEncode(t *testing.T) {
 
 func TestDecodeRejectsTopLevelBatch(t *testing.T) {
 	buf := encodeBatch(t, sampleEnvelopes())
-	if _, err := Decode(buf); !errors.Is(err, ErrNestedBatch) {
+	if _, err := testCodec().Decode(buf); !errors.Is(err, ErrNestedBatch) {
 		t.Fatalf("Decode(batch) err = %v, want ErrNestedBatch", err)
 	}
 }
@@ -135,7 +136,7 @@ func TestNestedBatchRejected(t *testing.T) {
 		t.Fatalf("nested batch err = %v, want ErrNestedBatch", err)
 	}
 
-	if _, aerr := AppendBatch(nil, []Envelope{{Kind: KindBatch}}); !errors.Is(aerr, ErrNestedBatch) {
+	if _, aerr := testCodec().AppendBatch(nil, []Envelope{{Kind: KindBatch}}); !errors.Is(aerr, ErrNestedBatch) {
 		t.Fatalf("AppendBatch(KindBatch member) err = %v, want ErrNestedBatch", aerr)
 	}
 }
@@ -176,7 +177,7 @@ func TestBatchHostileInputs(t *testing.T) {
 		}
 	})
 	t.Run("member shorter than declared", func(t *testing.T) {
-		single, _ := Encode(Envelope{Kind: KindHeartbeat, Global: 1, RaisedAt: 2})
+		single, _ := testCodec().Encode(Envelope{Kind: KindHeartbeat, Global: 1, RaisedAt: 2})
 		buf := binary.AppendUvarint([]byte{KindBatch}, 1)
 		buf = binary.AppendUvarint(buf, uint64(len(single)+3))
 		buf = append(buf, single...)
@@ -186,7 +187,7 @@ func TestBatchHostileInputs(t *testing.T) {
 		}
 	})
 	t.Run("not a batch", func(t *testing.T) {
-		single, _ := Encode(Envelope{Kind: KindHeartbeat, Global: 1, RaisedAt: 2})
+		single, _ := testCodec().Encode(Envelope{Kind: KindHeartbeat, Global: 1, RaisedAt: 2})
 		if _, err := decodeBatchAll(single); !errors.Is(err, ErrBadTag) {
 			t.Fatalf("err = %v", err)
 		}
@@ -200,7 +201,7 @@ func TestDecodeBatchCallbackErrorAborts(t *testing.T) {
 	buf := encodeBatch(t, sampleEnvelopes())
 	boom := errors.New("boom")
 	seen := 0
-	err := DecodeBatch(buf, func(Envelope) error {
+	err := testCodec().DecodeBatch(buf, func(Envelope) error {
 		seen++
 		if seen == 2 {
 			return boom
@@ -221,12 +222,19 @@ func TestValidateOccurrence(t *testing.T) {
 	if err := ValidateOccurrence(bad); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
-	// Validate must agree with the encoder on both.
-	if _, err := Encode(Envelope{Kind: KindEvent, Occ: good}); err != nil {
+	// Validate must agree with both encoders on both.
+	c := testCodec()
+	if _, err := c.Encode(Envelope{Kind: KindEvent, Occ: good}); err != nil {
 		t.Fatalf("encoder rejects what Validate accepted: %v", err)
 	}
-	if _, err := Encode(Envelope{Kind: KindEvent, Occ: bad}); err == nil {
+	if _, err := AppendOccurrence(nil, good); err != nil {
+		t.Fatalf("journal record rejects what Validate accepted: %v", err)
+	}
+	if _, err := c.Encode(Envelope{Kind: KindEvent, Occ: bad}); err == nil {
 		t.Fatalf("encoder accepts what Validate rejected")
+	}
+	if _, err := AppendOccurrence(nil, bad); err == nil {
+		t.Fatalf("journal record accepts what Validate rejected")
 	}
 	// Depth abuse: a linear constituent chain past maxDepth.
 	deep := event.NewPrimitive("A", event.Database, stamp("s", 1), nil)
@@ -247,13 +255,14 @@ func TestAppendBatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats sync.Pool caching")
 	}
+	c := testCodec()
 	envs := sampleEnvelopes()
-	dst, err := AppendBatch(nil, envs) // warm dst and the pools
+	dst, err := c.AppendBatch(nil, envs) // warm dst and the pools
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		dst, err = AppendBatch(dst[:0], envs)
+		dst, err = c.AppendBatch(dst[:0], envs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,15 +273,16 @@ func TestAppendBatchSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkBatchEncode(b *testing.B) {
+	c := testCodec()
 	envs := sampleEnvelopes()
-	dst, err := AppendBatch(nil, envs)
+	dst, err := c.AppendBatch(nil, envs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, err = AppendBatch(dst[:0], envs)
+		dst, err = c.AppendBatch(dst[:0], envs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,19 +291,17 @@ func BenchmarkBatchEncode(b *testing.B) {
 }
 
 func BenchmarkBatchDecode(b *testing.B) {
-	buf := func() []byte {
-		dst, err := AppendBatch(nil, sampleEnvelopes())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return dst
-	}()
+	c := testCodec()
+	buf, err := c.AppendBatch(nil, sampleEnvelopes())
+	if err != nil {
+		b.Fatal(err)
+	}
 	n := 0
 	count := func(Envelope) error { n++; return nil }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := DecodeBatch(buf, count); err != nil {
+		if err := c.DecodeBatch(buf, count); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,21 +22,11 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		"amount": int64(40), "memo": "salary", "rate": 1.5, "flag": true, "u": uint64(3),
 	})
 	occ.Seq = 2
-	single, err := Encode(Envelope{Kind: KindEvent, Occ: occ, RaisedAt: 9})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	hb, err := Encode(Envelope{Kind: KindHeartbeat, Global: -3, RaisedAt: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	batch, err := AppendBatch(nil, []Envelope{
-		{Kind: KindEvent, Occ: occ, RaisedAt: 9},
-		{Kind: KindHeartbeat, Global: 4, RaisedAt: 10},
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	// Frames under the retired tags 1, 2 and 5, and a batch of the first
+	// two: what a peer that never upgraded would send.
+	legacy := legacyFrames(tb)
+	single, hb := legacy[0], legacy[1]
+	batch := frameBatch(single, hb)
 
 	seeds := [][]byte{
 		nil,
@@ -48,7 +38,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		batch[:len(batch)/2],   // truncated batch
 		append(batch[:0:0], batch...)[:len(batch)-1],
 		{KindBatch},        // batch with no count
-		{KindEvent},        // envelope with no body
+		{KindEventTyped},   // envelope with no body
 		{0xFF, 0x01, 0x02}, // unknown kind
 		binary.AppendUvarint([]byte{KindBatch}, 0),                // zero count
 		binary.AppendUvarint([]byte{KindBatch}, 1<<40),            // hostile count
@@ -62,27 +52,26 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	nested := binary.AppendUvarint([]byte{KindBatch}, 1)
 	nested = binary.AppendUvarint(nested, uint64(len(batch)))
 	seeds = append(seeds, append(nested, batch...))
-	// Depth abuse on the occurrence tree: each level claims one
-	// constituent, far past maxDepth.
-	deep := []byte{KindEvent}
-	deep = binary.AppendVarint(deep, 0) // RaisedAt
+	// Depth abuse on the occurrence tree, as a journal record and as an
+	// event frame: each level claims one constituent, far past maxDepth.
+	var deepRecord []byte
+	deepFrame := binary.AppendVarint([]byte{KindEventTyped}, 0) // RaisedAt
 	for i := 0; i < maxDepth+8; i++ {
-		deep = appendString(deep, "A")       // type
-		deep = append(deep, 0)               // class
-		deep = appendString(deep, "s")       // site
-		deep = binary.AppendUvarint(deep, 0) // seq
-		deep = binary.AppendUvarint(deep, 0) // stamp components
-		deep = binary.AppendUvarint(deep, 0) // params
-		deep = binary.AppendUvarint(deep, 1) // constituents: one more level
+		deepRecord = appendString(deepRecord, "A")  // type
+		deepRecord = append(deepRecord, 0)          // class
+		deepRecord = appendString(deepRecord, "s")  // site
+		deepRecord = append(deepRecord, 0, 0, 0, 1) // seq, stamp components, params; one constituent
+		deepFrame = append(deepFrame, 1, 0, 0)      // type id, class, site index
+		deepFrame = append(deepFrame, 0, 0, 0, 1)   // seq, stamp components, params; one constituent
 	}
-	seeds = append(seeds, deep)
-	// Hostile string length inside an envelope.
-	longStr := []byte{KindEvent}
+	seeds = append(seeds, deepRecord, deepFrame)
+	// Hostile string length inside an envelope (the undeclared-name escape).
+	longStr := []byte{KindEventTyped}
 	longStr = binary.AppendVarint(longStr, 0)
+	longStr = binary.AppendUvarint(longStr, 0)     // escape marker
 	longStr = binary.AppendUvarint(longStr, 1<<40) // type-string length
 	seeds = append(seeds, longStr)
 
-	// Roster-aware frames (decoded by fuzzCodec in exercise).
 	roster := fuzzCodec.Roster
 	seeds = append(seeds, AppendRoster(nil, roster))
 	idxEnv, err := fuzzCodec.Encode(Envelope{Kind: KindEvent, Occ: occ, RaisedAt: 9})
@@ -109,12 +98,12 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		denseBatch[:len(denseBatch)-2], // truncated dense batch
 	)
 	// Unknown site index: one past the roster length.
-	unknownIdx := []byte{KindEventIdx}
+	unknownIdx := []byte{KindEventTyped}
 	unknownIdx = binary.AppendVarint(unknownIdx, 0)
-	unknownIdx = appendString(unknownIdx, "T")
+	unknownIdx = binary.AppendUvarint(unknownIdx, 1)
 	unknownIdx = append(unknownIdx, 0)
 	unknownIdx = binary.AppendUvarint(unknownIdx, uint64(roster.Len()))
-	seeds = append(seeds, unknownIdx)
+	seeds = append(seeds, unknownIdx, legacy[2])
 	// Duplicate site in a roster frame.
 	dupRoster := []byte{KindRoster}
 	dupRoster = binary.AppendUvarint(dupRoster, 2)
@@ -126,22 +115,20 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// fuzzCodec is the roster-aware decoder under attack alongside the string
-// one: a small fixed roster and granule, so idx and delta seeds decode.
+// fuzzCodec is the decoder under attack: a small fixed roster, granule
+// and registry, so the well-formed seeds decode.
 var fuzzCodec = &Codec{
 	Roster:  core.NewRoster([]core.SiteID{"bank1", "s", "t"}),
 	Granule: 10,
+	Types:   testRegistry(),
 }
 
-// exercise runs every decoder entry point over data — the string codec
-// and the roster-aware one; any panic or unbounded allocation is the
-// fuzzer's (or the corpus test's) failure.
+// exercise runs every decoder entry point over data; any panic or
+// unbounded allocation is the fuzzer's (or the corpus test's) failure.
 func exercise(data []byte) {
 	if IsBatch(data) {
-		_ = DecodeBatch(data, discard)
 		_ = fuzzCodec.DecodeBatch(data, discard)
 	}
-	_, _ = Decode(data)
 	_, _ = fuzzCodec.Decode(data)
 	_, _ = DecodeOccurrence(data)
 	_, _ = DecodeRoster(data)
@@ -178,7 +165,7 @@ func TestFuzzSeedsDontPanic(t *testing.T) {
 func TestDecodeBatchNoCountPreallocation(t *testing.T) {
 	buf := binary.AppendUvarint([]byte{KindBatch}, uint64(maxBatch))
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := DecodeBatch(buf, discard); err == nil {
+		if err := fuzzCodec.DecodeBatch(buf, discard); err == nil {
 			t.Fatal("hostile count accepted")
 		}
 	})

@@ -8,52 +8,28 @@ import (
 	"repro/internal/event"
 )
 
-// This file is the roster-aware side of the codec (DESIGN.md §2g): once
-// both ends of a link share a sealed core.Roster, site identities travel
-// as uvarint dense indexes instead of length-prefixed strings, and
-// heartbeat frontiers are delta-encoded against the raise time.  The
-// string frames of wire.go remain the rosterless interchange form — a
-// Codec decodes both, so old captures and the fuzz corpus stay readable.
-//
-// Frames:
-//
-//	KindRoster        | uvarint n | n × string        (strictly ascending)
-//	KindEventIdx      | varint raisedAt | occurrence with uvarint site indexes
-//	KindFrontierDelta | varint raisedAt | varint (global − raisedAt/granule)
-//
-// The delta form exploits that a watermark heartbeat's global frontier
-// tracks its own raise time: with the granule (microticks per global
-// tick) agreed out of band, the difference is a small integer — typically
-// one varint byte where the absolute global costs four or five.
-
-// Roster-aware message kinds.
-const (
-	// KindRoster frames a sealed site membership (see AppendRoster).
-	KindRoster byte = 4
-	// KindEventIdx is KindEvent with interned sites.
-	KindEventIdx byte = 5
-	// KindFrontierDelta is KindHeartbeat with the global frontier encoded
-	// as a delta against the raise time's granule.
-	KindFrontierDelta byte = 6
-	// KindEventTyped is KindEventIdx with the event type carried as its
-	// dense registry TypeID (uvarint) instead of a length-prefixed
-	// string; undeclared names (anonymous inner composites like
-	// "(A ; B)") travel as a 0 marker followed by the string form.
-	KindEventTyped byte = 7
-)
+// This file holds the roster frame and the Codec's single-envelope frames
+// (the package comment has the grammar).  The delta form of a heartbeat
+// exploits that a watermark's global frontier tracks its own raise time:
+// with the granule (microticks per global tick) agreed out of band, the
+// difference is a small integer — typically one varint byte where the
+// absolute global costs four or five.
 
 // Errors specific to roster frames.
 var (
 	// ErrUnknownSite marks a site index at or beyond the roster length, or
-	// an idx frame decoded without a roster.
+	// an occurrence naming a site outside the roster.
 	ErrUnknownSite = errors.New("wire: site index outside roster")
 	// ErrDuplicateSite marks a roster frame whose IDs are not strictly
 	// ascending — duplicates and disorder are both corruption, since
 	// NewRoster output is canonical by construction.
 	ErrDuplicateSite = errors.New("wire: roster sites not strictly ascending")
-	// ErrUnknownTypeID marks a typed frame whose type index is outside
-	// the codec's registry, or a typed frame decoded without one.
+	// ErrUnknownTypeID marks an event frame whose type index is outside
+	// the codec's registry.
 	ErrUnknownTypeID = errors.New("wire: event type index outside registry")
+	// errIncompleteCodec marks a Codec built without one of its three
+	// parts; there is no reduced format to fall back to.
+	errIncompleteCodec = errors.New("wire: codec needs a Roster, a positive Granule and a Types registry")
 )
 
 // maxRosterSites bounds a roster frame's claimed membership.
@@ -114,27 +90,34 @@ func DecodeRoster(buf []byte) (*core.Roster, error) {
 	return core.NewRoster(ids), nil
 }
 
-// Codec is the roster-aware encoder/decoder for one sealed run.  Both
-// ends build it from shared configuration (the roster from the sealed
-// membership, the granule from the clock's local-per-global ratio), so
-// delta frames decode statelessly.  A zero Granule disables frontier
-// deltas; a nil Roster makes Codec equivalent to the package-level
-// string codec.
+// Codec is the envelope encoder/decoder of one sealed run.  Both ends
+// build it from shared configuration — the roster from the sealed
+// membership, the granule from the clock's local-per-global ratio, the
+// registry from the shared declarations — so every frame decodes
+// statelessly.  All three fields are required: a Codec missing one
+// returns an error from every method, it does not change format.
 //
 // Codec is immutable after construction and safe for concurrent use.
 type Codec struct {
+	// Roster is the sealed membership site indexes refer to.
 	Roster *core.Roster
 	// Granule is the number of RaisedAt microticks per global granule
 	// (clock's local-per-global ratio), the shared reference the frontier
 	// delta is taken against.
 	Granule int64
-	// Types, when non-nil alongside Roster, upgrades event frames to
-	// KindEventTyped: type identities travel as dense registry IDs the
-	// same way site identities travel as roster indexes, and decode
-	// fills Occurrence.TypeID so the receiving detector dispatches
-	// without a name lookup.  Both ends must share the declaration
-	// order (in the simulator they share the registry itself).
+	// Types is the registry type IDs refer to; decode fills
+	// Occurrence.TypeID so the receiving detector dispatches without a
+	// name lookup.  Both ends must share the declaration order (in the
+	// simulator they share the registry itself).
 	Types *event.Registry
+}
+
+// check reports a Codec that cannot encode or decode anything.
+func (c *Codec) check() error {
+	if c.Roster == nil || c.Granule <= 0 || c.Types == nil {
+		return errIncompleteCodec
+	}
+	return nil
 }
 
 // frontierBase is the shared reference point a heartbeat's global
@@ -147,35 +130,28 @@ func (c *Codec) frontierBase(raisedAt int64) int64 {
 	return g
 }
 
-// EncodeAppend serializes an envelope in the densest form the codec
-// supports: interned occurrence frames when a roster is attached
-// (ErrUnknownSite if the occurrence mentions a site outside it) and
-// delta heartbeats when a granule is configured.
+// EncodeAppend serializes an envelope, appending to dst (which may be nil
+// or a recycled buffer): an event as a KindEventTyped frame
+// (ErrUnknownSite if the occurrence mentions a site outside the roster),
+// a heartbeat as a KindFrontierDelta frame.
 func (c *Codec) EncodeAppend(dst []byte, e Envelope) ([]byte, error) {
+	if err := c.check(); err != nil {
+		return nil, err
+	}
 	switch e.Kind {
 	case KindHeartbeat:
-		if c.Granule <= 0 {
-			return EncodeAppend(dst, e)
-		}
 		dst = append(dst, KindFrontierDelta)
 		dst = appendVarint(dst, e.RaisedAt)
 		return appendVarint(dst, e.Global-c.frontierBase(e.RaisedAt)), nil
 	case KindEvent:
-		if c.Roster == nil {
-			return EncodeAppend(dst, e)
-		}
 		if e.Occ == nil {
 			return nil, errors.New("wire: event envelope without occurrence")
 		}
-		if c.Types != nil {
-			dst = append(dst, KindEventTyped)
-			dst = appendVarint(dst, e.RaisedAt)
-			return c.appendOccurrenceIdx(dst, e.Occ, 0, true)
-		}
-		dst = append(dst, KindEventIdx)
+		dst = append(dst, KindEventTyped)
 		dst = appendVarint(dst, e.RaisedAt)
-		return c.appendOccurrenceIdx(dst, e.Occ, 0, false)
+		return c.appendOccurrenceIdx(dst, e.Occ, 0)
 	case KindBatch:
+		// A batch is a frame of envelopes, not an envelope.
 		return nil, ErrNestedBatch
 	default:
 		return nil, fmt.Errorf("%w: envelope kind %d", ErrBadTag, e.Kind)
@@ -189,7 +165,7 @@ func (c *Codec) Encode(e Envelope) ([]byte, error) {
 	return c.EncodeAppend(make([]byte, 0, 64), e)
 }
 
-// appendSite writes one interned site identity.
+// appendSite writes one site identity as its roster index.
 func (c *Codec) appendSite(dst []byte, id core.SiteID) ([]byte, error) {
 	s := c.Roster.Site(id)
 	if s == core.NoSite {
@@ -198,28 +174,22 @@ func (c *Codec) appendSite(dst []byte, id core.SiteID) ([]byte, error) {
 	return appendUvarint(dst, uint64(s)), nil
 }
 
-// appendOccurrenceIdx is appendOccurrence with every site identity —
-// the occurrence's own and each stamp component's — as a roster index.
-// With typed set, the type name is interned too: occurrences usually
-// carry their TypeID already (set at raise or by the emitting detector);
-// a zero falls back to one registry lookup, and names the registry does
-// not know (anonymous inner composites) are escaped as 0 + string.
-func (c *Codec) appendOccurrenceIdx(b []byte, o *event.Occurrence, depth int, typed bool) ([]byte, error) {
+// appendOccurrenceIdx is appendOccurrence with every site identity — the
+// occurrence's own and each stamp component's — as a roster index and the
+// type as a registry ID.  Occurrences usually carry their TypeID already
+// (set at raise or by the emitting detector); a zero falls back to one
+// registry lookup, and names the registry does not know (anonymous inner
+// composites) are escaped as 0 + string.
+func (c *Codec) appendOccurrenceIdx(b []byte, o *event.Occurrence, depth int) ([]byte, error) {
 	if depth > maxDepth {
 		return nil, fmt.Errorf("wire: occurrence tree deeper than %d", maxDepth)
 	}
-	if typed {
-		id := o.TypeID
-		if id == 0 {
-			id = c.Types.TypeID(o.Type)
-		}
-		if id != 0 {
-			b = appendUvarint(b, uint64(id))
-		} else {
-			b = appendUvarint(b, 0)
-			b = appendString(b, o.Type)
-		}
-	} else {
+	id := o.TypeID
+	if id == 0 {
+		id = c.Types.TypeID(o.Type)
+	}
+	b = appendUvarint(b, uint64(id))
+	if id == 0 {
 		b = appendString(b, o.Type)
 	}
 	b = append(b, byte(o.Class))
@@ -243,7 +213,7 @@ func (c *Codec) appendOccurrenceIdx(b []byte, o *event.Occurrence, depth int, ty
 	}
 	b = appendUvarint(b, uint64(len(o.Constituents)))
 	for _, k := range o.Constituents {
-		b, err = c.appendOccurrenceIdx(b, k, depth+1, typed)
+		b, err = c.appendOccurrenceIdx(b, k, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -251,39 +221,24 @@ func (c *Codec) appendOccurrenceIdx(b []byte, o *event.Occurrence, depth int, ty
 	return b, nil
 }
 
-// site reads one interned site identity, validating against the roster.
-func (c *Codec) site(r *reader) (core.SiteID, error) {
-	idx, err := c.siteIdx(r)
-	if err != nil {
-		return "", err
-	}
-	return c.Roster.ID(idx), nil
-}
-
-// siteIdx reads one interned site identity as its dense roster index.
+// siteIdx reads one site identity, validating the index against the
+// roster.
 func (c *Codec) siteIdx(r *reader) (core.Site, error) {
 	v, err := r.uvarint()
 	if err != nil {
 		return core.NoSite, err
 	}
-	if c.Roster == nil || v >= uint64(c.Roster.Len()) {
+	if v >= uint64(c.Roster.Len()) {
 		return core.NoSite, fmt.Errorf("%w: index %d", ErrUnknownSite, v)
 	}
 	return core.Site(v), nil
 }
 
-func (c *Codec) occurrenceIdx(r *reader, depth int, typed bool) (*event.Occurrence, error) {
+func (c *Codec) occurrenceIdx(r *reader, depth int) (*event.Occurrence, error) {
 	if depth > maxDepth {
 		return nil, fmt.Errorf("wire: occurrence tree deeper than %d", maxDepth)
 	}
-	var typ string
-	var typeID event.TypeID
-	var err error
-	if typed {
-		typeID, typ, err = c.typeRef(r)
-	} else {
-		typ, err = r.str(maxString)
-	}
+	typeID, typ, err := c.typeRef(r)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +246,7 @@ func (c *Codec) occurrenceIdx(r *reader, depth int, typed bool) (*event.Occurren
 	if err != nil {
 		return nil, err
 	}
-	site, err := c.site(r)
+	site, err := c.siteIdx(r)
 	if err != nil {
 		return nil, err
 	}
@@ -343,14 +298,14 @@ func (c *Codec) occurrenceIdx(r *reader, depth int, typed bool) (*event.Occurren
 		Type:     typ,
 		TypeID:   typeID,
 		Class:    event.Class(classByte),
-		Site:     site,
+		Site:     c.Roster.ID(site),
 		Seq:      seq,
 		Stamp:    stamp,
 		Interned: interned,
 		Params:   params,
 	}
 	for i := uint64(0); i < nKids; i++ {
-		k, err := c.occurrenceIdx(r, depth+1, typed)
+		k, err := c.occurrenceIdx(r, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -359,13 +314,10 @@ func (c *Codec) occurrenceIdx(r *reader, depth int, typed bool) (*event.Occurren
 	return o, nil
 }
 
-// typeRef reads one interned type identity: a dense registry ID, or the
-// 0 escape followed by the literal name (which may still resolve — a
-// registry that learned the name after the sender encoded it).
+// typeRef reads one type identity: a dense registry ID, or the 0 escape
+// followed by the literal name (which may still resolve — a registry that
+// learned the name after the sender encoded it).
 func (c *Codec) typeRef(r *reader) (event.TypeID, string, error) {
-	if c.Types == nil {
-		return 0, "", fmt.Errorf("%w: typed frame without a registry", ErrUnknownTypeID)
-	}
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, "", err
@@ -388,74 +340,50 @@ func (c *Codec) typeRef(r *reader) (event.TypeID, string, error) {
 	return id, name, nil
 }
 
-// Decode parses any envelope frame — interned, delta, or the legacy
-// string forms — rejecting trailing garbage.  Idx frames require the
-// codec's roster (ErrUnknownSite otherwise); delta frames require its
-// granule.
+// Decode parses one envelope frame — KindEventTyped or KindFrontierDelta
+// — rejecting every other tag and trailing garbage.
 func (c *Codec) Decode(buf []byte) (Envelope, error) {
-	if len(buf) == 0 {
-		return Envelope{}, ErrTruncated
-	}
-	switch buf[0] {
-	case KindEvent, KindHeartbeat:
-		return Decode(buf)
-	case KindBatch:
-		return Envelope{}, ErrNestedBatch
-	case KindRoster:
-		//lint:allow hotalloc — error path: corrupt-input rejection; never formats on valid frames
-		return Envelope{}, fmt.Errorf("%w: roster frame in envelope position", ErrBadTag)
+	if err := c.check(); err != nil {
+		return Envelope{}, err
 	}
 	r := &reader{buf: buf}
-	kind, _ := r.byte()
+	kind, err := r.byte()
+	if err != nil {
+		return Envelope{}, err
+	}
+	switch kind {
+	case KindEventTyped, KindFrontierDelta:
+	case KindBatch:
+		// The layout after KindBatch is a count, not an envelope body;
+		// batches go through DecodeBatch and never nest.
+		return Envelope{}, ErrNestedBatch
+	default:
+		//lint:allow hotalloc — error path: corrupt-input rejection; never formats on valid frames
+		return Envelope{}, fmt.Errorf("%w: envelope kind %d", ErrBadTag, kind)
+	}
 	raisedAt, err := r.varint()
 	if err != nil {
 		return Envelope{}, err
 	}
 	e := Envelope{RaisedAt: raisedAt}
-	switch kind {
-	case KindFrontierDelta:
-		if c.Granule <= 0 {
-			//lint:allow hotalloc — error path: misconfigured codec rejection; never formats on valid frames
-			return Envelope{}, fmt.Errorf("%w: frontier delta without a granule", ErrBadTag)
-		}
+	if kind == KindFrontierDelta {
 		delta, err := r.varint()
 		if err != nil {
 			return Envelope{}, err
 		}
 		e.Kind = KindHeartbeat
 		e.Global = c.frontierBase(raisedAt) + delta
-	case KindEventIdx:
-		o, err := c.occurrenceIdx(r, 0, false)
+	} else {
+		o, err := c.occurrenceIdx(r, 0)
 		if err != nil {
 			return Envelope{}, err
 		}
 		e.Kind = KindEvent
 		e.Occ = o
-	case KindEventTyped:
-		o, err := c.occurrenceIdx(r, 0, true)
-		if err != nil {
-			return Envelope{}, err
-		}
-		e.Kind = KindEvent
-		e.Occ = o
-	default:
-		//lint:allow hotalloc — error path: corrupt-input rejection; never formats on valid frames
-		return Envelope{}, fmt.Errorf("%w: envelope kind %d", ErrBadTag, kind)
 	}
 	if r.pos != len(buf) {
 		//lint:allow hotalloc — error path: corrupt-input rejection; never formats on valid frames
 		return Envelope{}, fmt.Errorf("wire: %d trailing bytes", len(buf)-r.pos)
 	}
 	return e, nil
-}
-
-// AppendBatch is AppendBatch with the codec's dense member encoding.
-func (c *Codec) AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
-	return appendBatchWith(dst, envs, c.EncodeAppend)
-}
-
-// DecodeBatch is DecodeBatch accepting the codec's dense member frames
-// alongside the legacy string ones.
-func (c *Codec) DecodeBatch(buf []byte, fn func(Envelope) error) error {
-	return decodeBatchWith(buf, c.Decode, fn)
 }

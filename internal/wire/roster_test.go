@@ -10,14 +10,6 @@ import (
 	"repro/internal/event"
 )
 
-func testRoster() *core.Roster {
-	return core.NewRoster([]core.SiteID{"bank1", "bank2", "hq", "s"})
-}
-
-func testCodec() *Codec {
-	return &Codec{Roster: testRoster(), Granule: 10}
-}
-
 func codecOccurrence() *event.Occurrence {
 	inner := event.NewPrimitive("Withdraw", event.Database, stamp("bank2", 41), nil)
 	o := event.NewPrimitive("Deposit", event.Database, stamp("bank1", 123), event.Params{
@@ -90,15 +82,15 @@ func TestRosterFrameHostile(t *testing.T) {
 	}
 }
 
+// Sites travel as roster indexes: the decoded occurrence keeps them as its
+// interned stamp, and the frame is smaller than the journal record, which
+// spells every site out.
 func TestCodecEventIdxRoundTrip(t *testing.T) {
 	c := testCodec()
 	e := Envelope{Kind: KindEvent, Occ: codecOccurrence(), RaisedAt: 1234}
 	buf, err := c.Encode(e)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
-	}
-	if buf[0] != KindEventIdx {
-		t.Fatalf("kind byte = %d, want KindEventIdx", buf[0])
 	}
 	got, err := c.Decode(buf)
 	if err != nil {
@@ -110,18 +102,15 @@ func TestCodecEventIdxRoundTrip(t *testing.T) {
 	// Decoding enriches: the dense indexes already on the wire are kept
 	// as the interned stamp, so the receiving side compares integer-only.
 	assertInterned(t, c.Roster, got.Occ)
-	stripInterned(got.Occ)
-	if !reflect.DeepEqual(got.Occ, e.Occ) {
+	if !occurrenceEqual(got.Occ, e.Occ) {
 		t.Fatalf("occurrence round trip:\n got %+v\nwant %+v", got.Occ, e.Occ)
 	}
-	// The interned frame must beat the string frame on size — that is the
-	// whole point of the encoding.
-	strBuf, err := Encode(e)
+	record, err := AppendOccurrence(nil, e.Occ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) >= len(strBuf) {
-		t.Fatalf("idx frame %dB not smaller than string frame %dB", len(buf), len(strBuf))
+	if len(buf) >= len(record) {
+		t.Fatalf("indexed frame %dB not smaller than the %dB string record", len(buf), len(record))
 	}
 }
 
@@ -155,46 +144,50 @@ func TestCodecFrontierDeltaRoundTrip(t *testing.T) {
 	// smaller than the absolute form.
 	e := Envelope{Kind: KindHeartbeat, Global: 123456, RaisedAt: 1234567}
 	dense, _ := c.Encode(e)
-	str, _ := Encode(e)
-	if len(dense) >= len(str) {
-		t.Fatalf("delta frame %dB not smaller than absolute frame %dB", len(dense), len(str))
+	absolute := binary.AppendVarint(binary.AppendVarint([]byte{KindFrontierDelta}, e.RaisedAt), e.Global)
+	if len(dense) >= len(absolute) {
+		t.Fatalf("delta frame %dB not smaller than absolute frame %dB", len(dense), len(absolute))
 	}
 }
 
-func TestCodecDecodesLegacyFrames(t *testing.T) {
-	c := testCodec()
-	e := Envelope{Kind: KindHeartbeat, Global: 9, RaisedAt: 90}
-	legacy, err := Encode(e)
+// legacyFrames hand-builds one well-formed frame for each retired tag — the
+// string-sited event (1), the absolute heartbeat (2) and the untyped
+// indexed event (5) — as a peer that never upgraded would send them.
+func legacyFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	occ := event.NewPrimitive("Deposit", event.Database, stamp("bank1", 7), event.Params{"amount": int64(40)})
+	strEvent, err := AppendOccurrence(binary.AppendVarint([]byte{1}, 9), occ)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	got, err := c.Decode(legacy)
-	if err != nil {
-		t.Fatalf("codec rejected legacy heartbeat: %v", err)
+	heartbeat := binary.AppendVarint(binary.AppendVarint([]byte{2}, 1), -3)
+	idxEvent := binary.AppendVarint([]byte{5}, 9)
+	idxEvent = appendString(idxEvent, "Deposit")
+	idxEvent = append(idxEvent, byte(event.Database))
+	idxEvent = binary.AppendUvarint(idxEvent, 0) // site index
+	idxEvent = binary.AppendUvarint(idxEvent, 0) // seq
+	idxEvent = binary.AppendUvarint(idxEvent, 0) // stamp components
+	idxEvent = binary.AppendUvarint(idxEvent, 0) // params
+	idxEvent = binary.AppendUvarint(idxEvent, 0) // constituents
+	return [][]byte{strEvent, heartbeat, idxEvent}
+}
+
+// frameBatch wraps member frames in batch framing without looking at them.
+func frameBatch(members ...[]byte) []byte {
+	buf := binary.AppendUvarint([]byte{KindBatch}, uint64(len(members)))
+	for _, m := range members {
+		buf = binary.AppendUvarint(buf, uint64(len(m)))
+		buf = append(buf, m...)
 	}
-	if got != e {
-		t.Fatalf("legacy round trip = %+v, want %+v", got, e)
-	}
-	ev := Envelope{Kind: KindEvent, Occ: codecOccurrence(), RaisedAt: 5}
-	legacyEv, err := Encode(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotEv, err := c.Decode(legacyEv)
-	if err != nil {
-		t.Fatalf("codec rejected legacy event: %v", err)
-	}
-	if !reflect.DeepEqual(gotEv.Occ, ev.Occ) {
-		t.Fatal("legacy event occurrence mismatch")
-	}
+	return buf
 }
 
 func TestCodecHostileInputs(t *testing.T) {
 	c := testCodec()
 	// Unknown site index: one past the roster.
-	bad := []byte{KindEventIdx}
-	bad = binary.AppendVarint(bad, 0) // raisedAt
-	bad = appendString(bad, "T")
+	bad := []byte{KindEventTyped}
+	bad = binary.AppendVarint(bad, 0)                       // raisedAt
+	bad = binary.AppendUvarint(bad, 1)                      // type id
 	bad = append(bad, 0)                                    // class
 	bad = binary.AppendUvarint(bad, uint64(c.Roster.Len())) // site index out of range
 	if _, err := c.Decode(bad); !errors.Is(err, ErrUnknownSite) {
@@ -211,24 +204,52 @@ func TestCodecHostileInputs(t *testing.T) {
 	if _, err := c.Decode(trunc); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated delta: err = %v, want ErrTruncated", err)
 	}
-	// A delta frame is undecodable without a granule.
-	whole := binary.AppendVarint(trunc, 0)
-	noGranule := &Codec{Roster: c.Roster}
-	if _, err := noGranule.Decode(whole); err == nil {
-		t.Fatal("granule-less codec accepted a delta frame")
-	}
-	// An idx frame is undecodable without a roster.
-	good, err := c.Encode(Envelope{Kind: KindEvent, Occ: codecOccurrence(), RaisedAt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noRoster := &Codec{Granule: 10}
-	if _, err := noRoster.Decode(good); !errors.Is(err, ErrUnknownSite) {
-		t.Fatalf("rosterless idx decode: err = %v, want ErrUnknownSite", err)
-	}
 	// Roster frames never sit in envelope positions.
 	if _, err := c.Decode(AppendRoster(nil, c.Roster)); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("roster in envelope position: err = %v, want ErrBadTag", err)
+	}
+	// The retired tags are unknown tags, alone or inside a batch.
+	for _, frame := range legacyFrames(t) {
+		if _, err := c.Decode(frame); !errors.Is(err, ErrBadTag) {
+			t.Fatalf("legacy tag %d: err = %v, want ErrBadTag", frame[0], err)
+		}
+		if err := c.DecodeBatch(frameBatch(frame), discard); !errors.Is(err, ErrBadTag) {
+			t.Fatalf("legacy tag %d in a batch: err = %v, want ErrBadTag", frame[0], err)
+		}
+	}
+}
+
+// A Codec missing any of its three parts has no reduced format to fall
+// back to: every method returns an error.
+func TestCodecRequiresAllParts(t *testing.T) {
+	full := testCodec()
+	env := Envelope{Kind: KindHeartbeat, Global: 4, RaisedAt: 49}
+	frame, err := full.Encode(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := full.AppendBatch(nil, []Envelope{env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Codec{
+		"no roster":   {Granule: full.Granule, Types: full.Types},
+		"no granule":  {Roster: full.Roster, Types: full.Types},
+		"no registry": {Roster: full.Roster, Granule: full.Granule},
+		"zero":        {},
+	} {
+		if _, err := c.Encode(env); err == nil {
+			t.Errorf("%s: Encode succeeded", name)
+		}
+		if _, err := c.AppendBatch(nil, []Envelope{env}); err == nil {
+			t.Errorf("%s: AppendBatch succeeded", name)
+		}
+		if _, err := c.Decode(frame); err == nil {
+			t.Errorf("%s: Decode succeeded", name)
+		}
+		if err := c.DecodeBatch(batch, discard); err == nil {
+			t.Errorf("%s: DecodeBatch succeeded", name)
+		}
 	}
 }
 
@@ -259,13 +280,7 @@ func TestCodecBatchRoundTrip(t *testing.T) {
 		}
 	}
 	assertInterned(t, c.Roster, got[0].Occ)
-	stripInterned(got[0].Occ)
-	if !reflect.DeepEqual(got[0].Occ, envs[0].Occ) {
+	if !occurrenceEqual(got[0].Occ, envs[0].Occ) {
 		t.Fatal("member occurrence mismatch")
-	}
-	// The string DecodeBatch must reject dense members — rosterless
-	// receivers cannot resolve indexes, and silence would corrupt.
-	if err := DecodeBatch(buf, discard); err == nil {
-		t.Fatal("string DecodeBatch accepted dense members")
 	}
 }

@@ -10,22 +10,10 @@ import (
 	"repro/internal/event"
 )
 
-func testRegistry() *event.Registry {
-	reg := event.NewRegistry()
-	reg.MustDeclare("Withdraw", event.Database)
-	reg.MustDeclare("Deposit", event.Database)
-	reg.MustDeclare("Pair", event.Composite)
-	return reg
-}
-
-func typedCodec() *Codec {
-	return &Codec{Roster: testRoster(), Granule: 10, Types: testRegistry()}
-}
-
-// A registry-equipped codec emits KindEventTyped frames that round-trip
-// to the same occurrence, enriched with the dense TypeID.
+// Event frames round-trip to the same occurrence, enriched with the dense
+// TypeID.
 func TestCodecEventTypedRoundTrip(t *testing.T) {
-	c := typedCodec()
+	c := testCodec()
 	e := Envelope{Kind: KindEvent, Occ: codecOccurrence(), RaisedAt: 1234}
 	buf, err := c.Encode(e)
 	if err != nil {
@@ -53,14 +41,14 @@ func TestCodecEventTypedRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Occ, e.Occ) {
 		t.Fatalf("occurrence round trip:\n got %+v\nwant %+v", got.Occ, e.Occ)
 	}
-	// The typed frame must not be larger than the idx frame: a one- or
-	// two-byte uvarint replaces a length-prefixed name.
-	idxBuf, err := (&Codec{Roster: c.Roster, Granule: c.Granule}).Encode(e)
+	// A declared type must travel smaller than the same name through the
+	// escape: a one- or two-byte uvarint replaces a length-prefixed name.
+	escaped, err := (&Codec{Roster: c.Roster, Granule: c.Granule, Types: event.NewRegistry()}).Encode(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) >= len(idxBuf) {
-		t.Fatalf("typed frame %dB not smaller than idx frame %dB", len(buf), len(idxBuf))
+	if len(buf) >= len(escaped) {
+		t.Fatalf("typed frame %dB not smaller than escaped-name frame %dB", len(buf), len(escaped))
 	}
 }
 
@@ -75,7 +63,7 @@ func stripTypeIDs(o *event.Occurrence) {
 // composites like "(A ; B)" — travel through the 0+string escape and
 // still round-trip.
 func TestCodecEventTypedUndeclaredName(t *testing.T) {
-	c := typedCodec()
+	c := testCodec()
 	inner := event.NewPrimitive("Withdraw", event.Database, stamp("bank2", 41), nil)
 	anon := &event.Occurrence{
 		Type:         "(Withdraw ; Deposit)",
@@ -107,7 +95,7 @@ func TestCodecEventTypedUndeclaredName(t *testing.T) {
 // An occurrence already carrying its TypeID encodes to the same bytes as
 // one that needs the name lookup: the fast path is a pure optimization.
 func TestCodecEventTypedPrefilledID(t *testing.T) {
-	c := typedCodec()
+	c := testCodec()
 	plain := codecOccurrence()
 	filled := codecOccurrence()
 	filled.TypeID = c.Types.TypeID("Deposit")
@@ -125,18 +113,18 @@ func TestCodecEventTypedPrefilledID(t *testing.T) {
 	}
 }
 
-// Hostile typed frames: out-of-range IDs and registry-less decode.
+// Hostile typed frames: out-of-range IDs and truncation.
 func TestCodecEventTypedHostile(t *testing.T) {
-	c := typedCodec()
+	c := testCodec()
 	buf, err := c.Encode(Envelope{Kind: KindEvent, Occ: codecOccurrence(), RaisedAt: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A codec without a registry must reject the typed frame, not
-	// misread it.
-	bare := &Codec{Roster: testRoster(), Granule: 10}
+	// A registry that never saw the declarations must reject the IDs, not
+	// misread them.
+	bare := &Codec{Roster: c.Roster, Granule: c.Granule, Types: event.NewRegistry()}
 	if _, err := bare.Decode(buf); !errors.Is(err, ErrUnknownTypeID) {
-		t.Fatalf("registry-less decode: err = %v, want ErrUnknownTypeID", err)
+		t.Fatalf("empty-registry decode: err = %v, want ErrUnknownTypeID", err)
 	}
 	// An index beyond the registry is corruption.
 	evil := []byte{KindEventTyped}
@@ -155,7 +143,7 @@ func TestCodecEventTypedHostile(t *testing.T) {
 
 // Typed frames flow through batches like any other member frame.
 func TestCodecTypedBatchRoundTrip(t *testing.T) {
-	c := typedCodec()
+	c := testCodec()
 	envs := []Envelope{
 		{Kind: KindEvent, Occ: codecOccurrence(), RaisedAt: 1},
 		{Kind: KindHeartbeat, Global: 12, RaisedAt: 125},

@@ -1,18 +1,32 @@
-// Package wire is the binary codec for the distributed detector's
-// messages: primitive/composite event occurrences (with their set
-// timestamps, parameters and constituent trees) and watermark heartbeats.
+// Package wire is the binary format of everything the distributed
+// detector puts on a byte transport or on disk.
 //
-// The simulated bus could pass Go pointers, but a reproduction of a
-// distributed system should not depend on shared memory: with
-// ddetect.Config.Serialize enabled every envelope crossing the network is
-// encoded here and decoded at the receiver, so the engine demonstrably
-// works over a byte transport, and the codec's cost is measurable
-// (BenchmarkWireCodec).
+// On the transport a site is its dense index in the sealed core.Roster
+// and a declared event type its dense event.Registry ID; Codec, built
+// once per sealed system from the roster, the clock granule and the
+// registry, is the one envelope encoder and decoder.  With
+// ddetect.Config.Serialize set every envelope crossing the simulated bus
+// goes through it, so the engine demonstrably needs no shared memory
+// between sites, and the codec's cost is measurable (BenchmarkWireCodec).
 //
-// Format: length-prefixed, varint-based (encoding/binary), no reflection.
-// Integers are zigzag varints; strings are length-prefixed UTF-8.
-// Parameter values support the types the engine itself produces: int,
-// int64, uint64, float64, bool and string.
+// Frame grammar (one tag byte, then the body; DESIGN.md §2e):
+//
+//	KindRoster        | uvarint n | n × string        (strictly ascending)
+//	KindEventTyped    | varint raisedAt | occurrence, sites and types as indexes
+//	KindFrontierDelta | varint raisedAt | varint (global − raisedAt/granule)
+//	KindBatch         | uvarint count | count × (uvarint length | frame)
+//
+// The eventlog journal stores a different record, AppendOccurrence's: the
+// same occurrence tree with sites and types spelled out as strings.  A
+// journal must stay readable after the roster that wrote it is gone, so
+// that record deliberately depends on no roster and no registry.
+//
+// Everything is varint-based (encoding/binary), no reflection.  Integers
+// are zigzag varints; strings are length-prefixed UTF-8.  Parameter
+// values support the types the engine itself produces: int, int64,
+// uint64, float64, bool and string.  Every decoder treats its input as
+// hostile: counts and lengths are bounded, nothing is allocated on a
+// claimed size, and malformed input is an error, never a panic.
 package wire
 
 import (
@@ -36,15 +50,28 @@ const (
 	tagUint64
 )
 
-// Message kind tags.
+// Envelope kinds and frame tags.  KindEvent and KindHeartbeat are the two
+// values of Envelope.Kind; they are not frame tags (an event travels as a
+// KindEventTyped frame, a heartbeat as a KindFrontierDelta frame), and a
+// frame that starts with either is rejected like any unknown tag.
 const (
-	// KindEvent marks an encoded occurrence.
+	// KindEvent marks an envelope carrying an occurrence.
 	KindEvent byte = 1
-	// KindHeartbeat marks an encoded watermark.
+	// KindHeartbeat marks an envelope carrying a watermark.
 	KindHeartbeat byte = 2
-	// KindBatch marks a frame coalescing several envelopes (see
-	// AppendBatch/DecodeBatch).  Batches never nest.
+	// KindBatch tags a frame coalescing several envelopes (see
+	// Codec.AppendBatch).  Batches never nest.
 	KindBatch byte = 3
+	// KindRoster tags a sealed site membership (see AppendRoster).
+	KindRoster byte = 4
+	// KindFrontierDelta tags a heartbeat: the global frontier as a delta
+	// against the raise time's granule.
+	KindFrontierDelta byte = 6
+	// KindEventTyped tags an occurrence whose sites travel as roster
+	// indexes and whose declared types travel as registry IDs; undeclared
+	// names (anonymous inner composites like "(A ; B)") travel as a 0
+	// marker followed by the string.
+	KindEventTyped byte = 7
 )
 
 // Errors returned by the decoder.
@@ -53,7 +80,7 @@ var (
 	ErrBadTag      = errors.New("wire: unknown tag")
 	ErrUnsupported = errors.New("wire: unsupported parameter type")
 	// ErrNestedBatch marks a KindBatch frame inside a batch (or handed to
-	// the single-envelope Decode): batches are a transport framing, one
+	// the single-envelope Codec.Decode): batches are a transport framing, one
 	// level deep by construction, so a nested one is always corruption or
 	// an attack.
 	ErrNestedBatch = errors.New("wire: batch frame inside an envelope position")
@@ -131,8 +158,8 @@ func (r *reader) byte() (byte, error) {
 
 // --- stamps -----------------------------------------------------------------
 
-// AppendStamp encodes one primitive stamp.
-func AppendStamp(b []byte, t core.Stamp) []byte {
+// appendStamp encodes one primitive stamp.
+func appendStamp(b []byte, t core.Stamp) []byte {
 	b = appendString(b, string(t.Site))
 	b = appendVarint(b, t.Global)
 	return appendVarint(b, t.Local)
@@ -154,11 +181,11 @@ func (r *reader) stamp() (core.Stamp, error) {
 	return core.Stamp{Site: core.SiteID(site), Global: g, Local: l}, nil
 }
 
-// AppendSetStamp encodes a composite timestamp.
-func AppendSetStamp(b []byte, s core.SetStamp) []byte {
+// appendSetStamp encodes a composite timestamp.
+func appendSetStamp(b []byte, s core.SetStamp) []byte {
 	b = appendUvarint(b, uint64(len(s)))
 	for _, t := range s {
-		b = AppendStamp(b, t)
+		b = appendStamp(b, t)
 	}
 	return b
 }
@@ -302,7 +329,8 @@ func (r *reader) value() (any, error) {
 
 // --- occurrences ------------------------------------------------------------
 
-// AppendOccurrence encodes an occurrence with its constituent tree.
+// AppendOccurrence encodes an occurrence with its constituent tree as the
+// journal record: sites and types as strings, no roster needed to read it.
 func AppendOccurrence(b []byte, o *event.Occurrence) ([]byte, error) {
 	return appendOccurrence(b, o, 0)
 }
@@ -315,7 +343,7 @@ func appendOccurrence(b []byte, o *event.Occurrence, depth int) ([]byte, error) 
 	b = append(b, byte(o.Class))
 	b = appendString(b, string(o.Site))
 	b = appendUvarint(b, o.Seq)
-	b = AppendSetStamp(b, o.Stamp)
+	b = appendSetStamp(b, o.Stamp)
 	var err error
 	b, err = AppendParams(b, o.Params)
 	if err != nil {
@@ -387,38 +415,14 @@ func (r *reader) occurrence(depth int) (*event.Occurrence, error) {
 // --- envelopes ---------------------------------------------------------------
 
 // Envelope is the transport-level message: either an event occurrence or a
-// heartbeat watermark, plus the raise time used for latency accounting.
+// heartbeat watermark, plus the raise time used for latency accounting (for
+// a heartbeat, its nominal instant — the reference its frontier is
+// delta-encoded against).
 type Envelope struct {
 	Kind     byte // KindEvent or KindHeartbeat
 	Occ      *event.Occurrence
 	Global   int64
 	RaisedAt int64
-}
-
-// Encode serializes an envelope.
-func Encode(e Envelope) ([]byte, error) {
-	return EncodeAppend(make([]byte, 0, 64), e)
-}
-
-// EncodeAppend serializes an envelope, appending to dst (which may be
-// nil, or a recycled buffer — the allocation-free form of Encode).
-func EncodeAppend(dst []byte, e Envelope) ([]byte, error) {
-	dst = append(dst, e.Kind)
-	dst = appendVarint(dst, e.RaisedAt)
-	switch e.Kind {
-	case KindHeartbeat:
-		return appendVarint(dst, e.Global), nil
-	case KindEvent:
-		if e.Occ == nil {
-			return nil, errors.New("wire: event envelope without occurrence")
-		}
-		return AppendOccurrence(dst, e.Occ)
-	case KindBatch:
-		// A batch is a frame of envelopes, not an envelope.
-		return nil, ErrNestedBatch
-	default:
-		return nil, fmt.Errorf("%w: envelope kind %d", ErrBadTag, e.Kind)
-	}
 }
 
 // DecodeOccurrence parses a bare occurrence (as produced by
@@ -433,45 +437,4 @@ func DecodeOccurrence(buf []byte) (*event.Occurrence, error) {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(buf)-r.pos)
 	}
 	return o, nil
-}
-
-// Decode parses an envelope, rejecting trailing garbage.
-func Decode(buf []byte) (Envelope, error) {
-	r := &reader{buf: buf}
-	kind, err := r.byte()
-	if err != nil {
-		return Envelope{}, err
-	}
-	if kind == KindBatch {
-		// The frame layout after KindBatch is a count, not an envelope
-		// body; callers must route batches through DecodeBatch.  Reject
-		// here so a batch can never be mistaken for (or nested inside)
-		// an envelope.
-		return Envelope{}, ErrNestedBatch
-	}
-	raisedAt, err := r.varint()
-	if err != nil {
-		return Envelope{}, err
-	}
-	e := Envelope{Kind: kind, RaisedAt: raisedAt}
-	switch kind {
-	case KindHeartbeat:
-		g, err := r.varint()
-		if err != nil {
-			return Envelope{}, err
-		}
-		e.Global = g
-	case KindEvent:
-		o, err := r.occurrence(0)
-		if err != nil {
-			return Envelope{}, err
-		}
-		e.Occ = o
-	default:
-		return Envelope{}, fmt.Errorf("%w: envelope kind %d", ErrBadTag, kind)
-	}
-	if r.pos != len(buf) {
-		return Envelope{}, fmt.Errorf("wire: %d trailing bytes", len(buf)-r.pos)
-	}
-	return e, nil
 }

@@ -15,13 +15,34 @@ func stamp(site string, local int64) core.Stamp {
 	return core.DeriveStamp(core.SiteID(site), local, 10)
 }
 
+// testRoster covers every site the tests stamp with.
+func testRoster() *core.Roster {
+	return core.NewRoster([]core.SiteID{
+		"bank1", "bank2", "hq", "hub", "s", "s0", "s1", "s2", "s3", "x", "y"})
+}
+
+// testRegistry declares some of the types the tests raise; the rest travel
+// through the undeclared-name escape.
+func testRegistry() *event.Registry {
+	reg := event.NewRegistry()
+	reg.MustDeclare("Withdraw", event.Database)
+	reg.MustDeclare("Deposit", event.Database)
+	reg.MustDeclare("Pair", event.Composite)
+	return reg
+}
+
+func testCodec() *Codec {
+	return &Codec{Roster: testRoster(), Granule: 10, Types: testRegistry()}
+}
+
 func roundTrip(t *testing.T, e Envelope) Envelope {
 	t.Helper()
-	buf, err := Encode(e)
+	c := testCodec()
+	buf, err := c.Encode(e)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := Decode(buf)
+	got, err := c.Decode(buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -87,7 +108,7 @@ func TestCompositeTreeRoundTrip(t *testing.T) {
 
 func TestConcurrentSetStampRoundTrip(t *testing.T) {
 	s := core.NewSetStamp(stamp("x", 100), stamp("y", 105))
-	b := AppendSetStamp(nil, s)
+	b := appendSetStamp(nil, s)
 	r := &reader{buf: b}
 	got, err := r.setStamp()
 	if err != nil {
@@ -100,16 +121,20 @@ func TestConcurrentSetStampRoundTrip(t *testing.T) {
 
 func TestUnsupportedParamType(t *testing.T) {
 	o := event.NewPrimitive("E", event.Explicit, stamp("s", 1), event.Params{"bad": []int{1}})
-	if _, err := Encode(Envelope{Kind: KindEvent, Occ: o}); !errors.Is(err, ErrUnsupported) {
+	if _, err := testCodec().Encode(Envelope{Kind: KindEvent, Occ: o}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
+	}
+	if _, err := AppendOccurrence(nil, o); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("journal record: err = %v, want ErrUnsupported", err)
 	}
 }
 
 func TestEncodeValidation(t *testing.T) {
-	if _, err := Encode(Envelope{Kind: KindEvent}); err == nil {
+	c := testCodec()
+	if _, err := c.Encode(Envelope{Kind: KindEvent}); err == nil {
 		t.Fatalf("event envelope without occurrence accepted")
 	}
-	if _, err := Encode(Envelope{Kind: 99}); !errors.Is(err, ErrBadTag) {
+	if _, err := c.Encode(Envelope{Kind: 99}); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("bad kind = %v", err)
 	}
 }
@@ -117,36 +142,52 @@ func TestEncodeValidation(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	o := event.NewPrimitive("Deposit", event.Database, stamp("bank1", 123),
 		event.Params{"amount": int64(40)})
-	buf, err := Encode(Envelope{Kind: KindEvent, Occ: o})
+	c := testCodec()
+	buf, err := c.Encode(Envelope{Kind: KindEvent, Occ: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, err := AppendOccurrence(nil, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every truncation must fail cleanly, never panic.
 	for i := 0; i < len(buf); i++ {
-		if _, err := Decode(buf[:i]); err == nil {
+		if _, err := c.Decode(buf[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
+	for i := 0; i < len(record); i++ {
+		if _, err := DecodeOccurrence(record[:i]); err == nil {
+			t.Fatalf("journal record truncated at %d accepted", i)
+		}
+	}
 	// Trailing garbage must be rejected.
-	if _, err := Decode(append(append([]byte{}, buf...), 0x00)); err == nil ||
+	if _, err := c.Decode(append(append([]byte{}, buf...), 0x00)); err == nil ||
 		!strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing garbage = %v", err)
 	}
+	if _, err := DecodeOccurrence(append(append([]byte{}, record...), 0x00)); err == nil ||
+		!strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("journal record trailing garbage = %v", err)
+	}
 	// Unknown envelope kind.
 	bad := append([]byte{}, buf...)
-	bad[0] = 7
-	if _, err := Decode(bad); !errors.Is(err, ErrBadTag) {
+	bad[0] = 9
+	if _, err := c.Decode(bad); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("bad kind byte = %v", err)
 	}
 }
 
 func TestDecodeRandomBytesNeverPanics(t *testing.T) {
+	c := testCodec()
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 5000; trial++ {
 		n := r.Intn(64)
 		buf := make([]byte, n)
 		r.Read(buf)
-		_, _ = Decode(buf) // must not panic
+		_, _ = c.Decode(buf) // must not panic
+		_, _ = DecodeOccurrence(buf)
 	}
 }
 
@@ -224,6 +265,15 @@ func TestRandomOccurrenceRoundTrip(t *testing.T) {
 		if got.RaisedAt != int64(trial) {
 			t.Fatalf("RaisedAt lost")
 		}
+		// The journal record carries the same tree with names spelled out.
+		record, err := AppendOccurrence(nil, o)
+		if err != nil {
+			t.Fatalf("trial %d: AppendOccurrence: %v", trial, err)
+		}
+		back, err := DecodeOccurrence(record)
+		if err != nil || !occurrenceEqual(o, back) {
+			t.Fatalf("trial %d: journal record round trip: %v\n  in:  %v\n  out: %v", trial, err, o, back)
+		}
 	}
 }
 
@@ -232,15 +282,18 @@ func TestDepthLimit(t *testing.T) {
 	for i := 0; i < maxDepth+2; i++ {
 		o = event.NewComposite("C", "hub", o)
 	}
-	if _, err := Encode(Envelope{Kind: KindEvent, Occ: o}); err == nil {
+	if _, err := testCodec().Encode(Envelope{Kind: KindEvent, Occ: o}); err == nil {
 		t.Fatalf("over-deep tree accepted")
+	}
+	if _, err := AppendOccurrence(nil, o); err == nil {
+		t.Fatalf("over-deep tree accepted by the journal record")
 	}
 }
 
 func TestNegativeStampComponents(t *testing.T) {
 	// Zigzag varints must handle negative globals/locals.
 	s := core.Stamp{Site: "s", Global: -5, Local: -50}
-	b := AppendStamp(nil, s)
+	b := appendStamp(nil, s)
 	r := &reader{buf: b}
 	got, err := r.stamp()
 	if err != nil || got != s {
