@@ -9,9 +9,9 @@ GO ?= go
 LINT := bin/sentinel-lint
 BENCHJSON := bin/benchjson
 
-.PHONY: ci vet lint build test race determinism obs-determinism trace-overhead escape-gate bench bench-smoke bench-diff scale-smoke
+.PHONY: ci vet lint build test race determinism obs-determinism trace-overhead escape-gate bench bench-smoke bench-diff scale-smoke guard-smoke
 
-ci: vet lint build race determinism obs-determinism trace-overhead escape-gate bench-smoke scale-smoke
+ci: vet lint build race determinism obs-determinism trace-overhead escape-gate bench-smoke scale-smoke guard-smoke
 
 vet:
 	$(GO) vet ./...
@@ -64,7 +64,7 @@ trace-overhead:
 # present, is embedded so the report carries its own before/after
 # comparison of the PR-10 traced-while-pooled hot path (plus the new
 # BenchmarkSustainedThroughputTraced arm, which has no PR-9 row).
-BENCH_PKGS := . ./internal/eventlog ./internal/network ./internal/wire ./internal/obs
+BENCH_PKGS := . ./internal/detector ./internal/eventlog ./internal/network ./internal/wire ./internal/obs
 
 bench:
 	$(GO) build -o $(BENCHJSON) ./cmd/benchjson
@@ -107,3 +107,11 @@ bench-diff:
 scale-smoke:
 	$(GO) build -o bin/distsim ./cmd/distsim
 	timeout 60 bin/distsim -sites 512 -events 2000 > /dev/null
+
+# distsim's own default rule set (Guard is a NOT that keeps its spoiled
+# initiators) at 16 sites: the timeout is the assertion.  The run takes
+# under a second while a terminator costs one comparison per retained
+# initiator; one per (initiator, spoiler) pair does not finish in minutes.
+guard-smoke:
+	$(GO) build -o bin/distsim ./cmd/distsim
+	timeout 60 bin/distsim -sites 16 -events 30000 > /dev/null

@@ -132,9 +132,12 @@ func TestNotCumulative(t *testing.T) {
 func TestNotConcurrentSpoilerDoesNotSpoil(t *testing.T) {
 	// A spoiler concurrent with the terminator is not strictly inside the
 	// open interval (Definition 5.5 needs t2 < t3), so it does not spoil.
+	// It is the first (and only) follower of both initiators, and concurrent
+	// with both terminators: each initiator still fires.
 	c := run(t, "NOT(B)[A, C]", Chronicle,
-		occAt("s1", 100, "A"), occAt("s2", 205, "B"), occAt("s1", 210, "C"))
-	c.assertSigs(t, "X[A@100 C@210]")
+		occAt("s1", 100, "A"), occAt("s1", 150, "A"), occAt("s2", 205, "B"),
+		occAt("s1", 210, "C"), occAt("s1", 212, "C"))
+	c.assertSigs(t, "X[A@100 C@210]", "X[A@150 C@212]")
 }
 
 func TestNotContinuousConsumesAllClean(t *testing.T) {

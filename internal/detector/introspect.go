@@ -2,9 +2,10 @@ package detector
 
 // Introspection: operator nodes report how much constituent state they
 // retain, so operators and deployments can be monitored for buffer growth
-// (e.g. Unrestricted-context definitions, or NOT initiators retained
-// because a spoiler does not dominate every future terminator in the
-// partial order).
+// (e.g. Unrestricted-context definitions, or NOT initiators: a spoiled one
+// is still retained, because a terminator concurrent with its spoilers
+// may yet pair with it; retiring it exactly needs the release frontier
+// inside the detector).
 
 // stateful is implemented by nodes that buffer occurrences.
 type stateful interface {

@@ -46,7 +46,18 @@ func (n *anyNode) trim(max int) int {
 func (n *notNode) trim(max int) int {
 	var d1, d2 int
 	n.inits, d1 = trimOldest(n.inits, max)
+	n.first, _ = trimOldest(n.first, max)
 	n.e2s, d2 = trimOldest(n.e2s, max)
+	n.stale = n.stale || d1 > 0
+	// The surviving E2s moved down by d2; an initiator whose first follower
+	// was evicted looks for its earliest surviving one.
+	for i := 0; d2 > 0 && i < len(n.first); i++ {
+		if f := n.first[i]; f >= int32(d2) {
+			n.first[i] = f - int32(d2)
+		} else if f != noFollower {
+			n.first[i] = n.follower(n.inits[i])
+		}
+	}
 	return d1 + d2
 }
 

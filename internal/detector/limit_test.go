@@ -1,6 +1,9 @@
 package detector
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestBufferLimitBoundsUnrestricted(t *testing.T) {
 	d, _ := newTestDetector(t)
@@ -104,5 +107,48 @@ func TestBufferLimitPreservesDetectionUnderCapacity(t *testing.T) {
 		if capped[i] != uncapped[i] {
 			t.Fatalf("detection %d differs: %s vs %s", i, capped[i], uncapped[i])
 		}
+	}
+}
+
+// TestBufferLimitNotIndexSurvivesEviction: notNode.trim evicts initiators
+// and E2s independently, so an initiator can lose the E2 its first-follower
+// index names.  The index must then name the earliest surviving follower —
+// never a slot that moved, an evicted occurrence, or nothing while a
+// spoiler survives — which runNot checks after every publication, on a
+// Strict pool, against the pair scan over the surviving buffers.
+func TestBufferLimitNotIndexSurvivesEviction(t *testing.T) {
+	pinned := map[string][]notEv{
+		// Five followers of one initiator under a limit of three: its first
+		// follower is evicted twice, and the survivors still spoil it.
+		"survivors spoil": {{"A", 0, 10}, {"C", 0, 20}, {"C", 0, 30}, {"C", 0, 40}, {"C", 0, 50}, {"C", 0, 60}, {"D", 0, 70}},
+		// The one spoiler inside the interval is evicted by three followers
+		// concurrent with the terminator: the limit's recall cost, the same
+		// as the pair scan pays.
+		"evicted spoiler": {{"A", 0, 10}, {"C", 0, 20}, {"C", 1, 205}, {"C", 1, 206}, {"C", 1, 207}, {"D", 0, 210}},
+	}
+	for name, order := range pinned {
+		got := runNot(t, "NOT(C)[A, D]", Chronicle, 3, false, order)
+		if d := got.diff(runNot(t, "NOT(C)[A, D]", Chronicle, 3, true, order)); d != "" {
+			t.Errorf("%s: %s", name, d)
+		}
+		if want := map[string]int{"survivors spoil": 0, "evicted spoiler": 1}[name]; len(got.dets) != want || got.dropped == 0 {
+			t.Errorf("%s: %d detections (want %d), %d evictions (want some)", name, len(got.dets), want, got.dropped)
+		}
+	}
+	dropped := uint64(0)
+	for trial := 0; trial < 30; trial++ {
+		r := rand.New(rand.NewSource(int64(9000 + trial)))
+		order := linearExtension(r, genNotHistory(r, []string{"A", "A", "C", "C", "C", "D"}, 3, 40+r.Intn(30)))
+		for _, ctx := range allContexts {
+			limit := 2 + trial%3
+			got := runNot(t, "NOT(C)[A, D]", ctx, limit, false, order)
+			if d := got.diff(runNot(t, "NOT(C)[A, D]", ctx, limit, true, order)); d != "" {
+				t.Fatalf("trial %d under %v, limit %d: %s", trial, ctx, limit, d)
+			}
+			dropped += got.dropped
+		}
+	}
+	if dropped < 1000 {
+		t.Fatalf("only %d evictions: the property is vacuous", dropped)
 	}
 }

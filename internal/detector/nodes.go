@@ -2,6 +2,7 @@ package detector
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/clock"
@@ -135,11 +136,14 @@ func (n *binaryNode) onSeq(idx int, o *event.Occurrence) {
 		n.buf[0] = append(n.buf[0], retain(o))
 		return
 	}
-	// Terminator: eligible initiators happen before it.
+	// Terminator: eligible initiators happen before it (Chronicle: the oldest).
 	eligible := n.eligible[:0]
 	for i, init := range n.buf[0] {
 		if event.StampLess(init, o) {
 			eligible = append(eligible, i)
+			if n.ctx == Chronicle {
+				break
+			}
 		}
 	}
 	n.eligible = eligible[:0]
@@ -422,34 +426,60 @@ type notNode struct {
 
 	inits []*event.Occurrence
 	e2s   []*event.Occurrence
-	// eligible is scratch for the per-terminator initiator scan.
+	// first[i] is the index in e2s of the earliest-arrived buffered E2
+	// that follows inits[i], or noFollower.  It is recorded once, when
+	// that E2 arrives; every other follower of inits[i] sits after it.
+	first []int32
+	// stale is set when the buffer limit evicted initiators: E2s that only
+	// they preceded stay buffered until the next consume prunes them.
+	stale bool
+	// Scratch: the initiators one terminator uses, the E2s one consume drops.
 	eligible []int
+	gone     []int32
 }
+
+const noFollower = -1
 
 //sentinel:hotpath
 func (n *notNode) onChild(idx int, o *event.Occurrence) {
 	switch idx {
 	case 1: // initiator E1
-		if n.ctx == Recent {
-			n.inits = releaseAll(n.inits)
-			n.pruneE2s()
+		if n.ctx == Recent { // no initiator stays live, so no E2 follows one
+			n.inits, n.first = releaseAll(n.inits), n.first[:0]
+			n.e2s = releaseAll(n.e2s)
 		}
-		n.inits = append(n.inits, retain(o))
+		f := int32(noFollower)
+		if len(o.Stamp) > 1 {
+			// Only a composite can precede an E2 that arrived before it: the
+			// E2 may follow one component and be concurrent with the newest.
+			f = n.follower(o)
+		}
+		n.inits, n.first = append(n.inits, retain(o)), append(n.first, f)
 	case 0: // E2 — potential spoiler
-		for _, init := range n.inits {
-			if event.StampLess(init, o) {
-				n.e2s = append(n.e2s, retain(o))
-				return
+		// It is the first follower of every initiator that precedes it and has
+		// none yet; the others are asked only until one is known to precede it.
+		kept := false
+		for i, init := range n.inits {
+			if (n.first[i] == noFollower || !kept) && event.StampLess(init, o) {
+				kept = true
+				if n.first[i] == noFollower {
+					n.first[i] = int32(len(n.e2s))
+				}
 			}
 		}
-		// No live initiator precedes it and none arriving later can
-		// (linear extension), so it can never spoil: drop.
-	case 2: // terminator E3
-		t3 := o.Stamp
+		if kept {
+			n.e2s = append(n.e2s, retain(o))
+		}
+		// Otherwise no live initiator precedes it and none arriving later
+		// can (linear extension), so it can never spoil: drop.
+	case 2: // terminator E3; spoiled is asked first, it need not load a spoiled initiator
 		eligible := n.eligible[:0]
 		for i, init := range n.inits {
-			if event.StampLess(init, o) && !n.spoiled(init.Stamp, t3) {
+			if !n.spoiled(i, o) && event.StampLess(init, o) {
 				eligible = append(eligible, i)
+				if n.ctx == Chronicle { // uses the oldest one only
+					break
+				}
 			}
 		}
 		n.eligible = eligible[:0]
@@ -463,14 +493,12 @@ func (n *notNode) onChild(idx int, o *event.Occurrence) {
 			}
 		case Chronicle:
 			n.det.emit(n.out, n.name, n.inits[eligible[0]], o)
-			n.inits = removeIndices(n.inits, eligible[:1])
-			n.pruneE2s()
+			n.consume(eligible)
 		case Continuous:
 			for _, i := range eligible {
 				n.det.emit(n.out, n.name, n.inits[i], o)
 			}
-			n.inits = removeIndices(n.inits, eligible)
-			n.pruneE2s()
+			n.consume(eligible)
 		case Cumulative:
 			//lint:allow hotalloc — the constituents slice is retained by the emitted occurrence (or copied into pooled storage); the allocation is the product, not garbage
 			constituents := make([]*event.Occurrence, 0, len(eligible)+1)
@@ -479,29 +507,67 @@ func (n *notNode) onChild(idx int, o *event.Occurrence) {
 			}
 			constituents = append(constituents, o)
 			n.det.emit(n.out, n.name, constituents...)
-			n.inits = removeIndices(n.inits, eligible)
-			n.pruneE2s()
+			n.consume(eligible)
 		}
 	}
 }
 
+// follower returns the index of init's earliest-arrived buffered follower.
+func (n *notNode) follower(init *event.Occurrence) int32 {
+	for j, e2 := range n.e2s {
+		if event.StampLess(init, e2) {
+			return int32(j)
+		}
+	}
+	return noFollower
+}
+
 // spoiled reports whether a buffered E2 lies in the open interval
-// (t1, t3).
-func (n *notNode) spoiled(t1, t3 core.SetStamp) bool {
-	for _, e2 := range n.e2s {
-		if e2.Stamp.InOpenSet(t1, t3) {
+// (T(inits[i]), T(e3)).  The first follower arrived before e3, so it is
+// before e3 — spoiled — or concurrent with it, and only then can a later
+// follower be the one inside the interval.
+func (n *notNode) spoiled(i int, e3 *event.Occurrence) bool {
+	f := n.first[i]
+	if f == noFollower {
+		return false
+	}
+	if event.StampLess(n.e2s[f], e3) {
+		return true
+	}
+	for _, e2 := range n.e2s[f+1:] {
+		if event.StampLess(e2, e3) && event.StampLess(n.inits[i], e2) {
 			return true
 		}
 	}
 	return false
 }
 
-// pruneE2s drops (and releases) E2 occurrences no live initiator
-// precedes, nil-ing the vacated tail.
-func (n *notNode) pruneE2s() {
-	w := 0
+// consume removes (and releases) the initiators at the ascending indices
+// idx, then the E2s no live initiator precedes any more.  Those sit at or
+// after the earliest first follower of a removed initiator, and none is a
+// live initiator's first follower: surviving indexes only move down.
+func (n *notNode) consume(idx []int) {
+	from, w, k := len(n.e2s), idx[0], 0
+	for i := w; i < len(n.first); i++ {
+		if k < len(idx) && idx[k] == i {
+			k++
+			if f := int(n.first[i]); f != noFollower && f < from {
+				from = f
+			}
+			continue
+		}
+		n.first[w] = n.first[i]
+		w++
+	}
+	n.first, n.inits = n.first[:w], removeIndices(n.inits, idx)
+	if n.stale {
+		from, n.stale = 0, false
+	}
+	gone := n.gone[:0]
+	w = from
 outer:
-	for _, e2 := range n.e2s {
+	for j := from; j < len(n.e2s); j++ {
+		e2 := n.e2s[j]
 		for _, init := range n.inits {
 			if event.StampLess(init, e2) {
 				n.e2s[w] = e2
@@ -510,11 +576,22 @@ outer:
 			}
 		}
 		e2.Release()
+		gone = append(gone, int32(j))
+	}
+	n.gone = gone[:0]
+	if len(gone) == 0 {
+		return
 	}
 	for i := w; i < len(n.e2s); i++ {
 		n.e2s[i] = nil
 	}
 	n.e2s = n.e2s[:w]
+	for i, f := range n.first {
+		if f > gone[0] {
+			k, _ := slices.BinarySearch(gone, f) // the dropped E2s before f
+			n.first[i] = f - int32(k)
+		}
+	}
 }
 
 // apWindow is one open interval of an aperiodic or periodic operator.
@@ -548,11 +625,10 @@ type aperiodicNode struct {
 	out        emitFunc
 
 	windows []*apWindow
-	// eligible and closed are scratch for the per-occurrence window
-	// scans; window pointers never escape through them (emissions copy
-	// what they need into fresh constituent slices).
-	eligible []*apWindow
-	closed   []*apWindow
+	// closed is scratch for the per-terminator window scan; window
+	// pointers never escape through it (emissions copy what they need
+	// into fresh constituent slices).
+	closed []*apWindow
 }
 
 //sentinel:hotpath
@@ -567,36 +643,18 @@ func (n *aperiodicNode) onChild(idx int, o *event.Occurrence) {
 			n.windows = n.windows[:0]
 		}
 		n.windows = append(n.windows, &apWindow{init: retain(o)})
-	case 1: // E2
-		eligible := n.eligible[:0]
+	case 1: // E2 goes to the open windows it follows
 		for _, w := range n.windows {
-			if event.StampLess(w.init, o) {
-				eligible = append(eligible, w)
+			if !event.StampLess(w.init, o) {
+				continue
 			}
-		}
-		n.eligible = eligible[:0]
-		if len(eligible) == 0 {
-			return
-		}
-		if n.cumulative {
-			switch n.ctx {
-			case Chronicle:
-				eligible[0].acc = append(eligible[0].acc, retain(o))
-			default:
-				for _, w := range eligible {
-					w.acc = append(w.acc, retain(o))
-				}
-			}
-			return
-		}
-		switch n.ctx {
-		case Chronicle:
-			n.det.emit(n.out, n.name, eligible[0].init, o)
-		case Recent:
-			n.det.emit(n.out, n.name, eligible[len(eligible)-1].init, o)
-		default: // Unrestricted, Continuous, Cumulative: every open window
-			for _, w := range eligible {
+			if n.cumulative {
+				w.acc = append(w.acc, retain(o))
+			} else {
 				n.det.emit(n.out, n.name, w.init, o)
+			}
+			if n.ctx == Chronicle { // the oldest one only; Recent holds one
+				break
 			}
 		}
 	case 2: // E3 closes windows
@@ -626,16 +684,26 @@ func (n *aperiodicNode) onChild(idx int, o *event.Occurrence) {
 			// Initiators first, then the union of accumulated E2s
 			// strictly inside the open interval (an E2 shared by several
 			// merged windows appears once), then the terminator.
-			var constituents []*event.Occurrence
+			size := len(ws) + 1
+			for _, w := range ws {
+				size += len(w.acc)
+			}
+			//lint:allow hotalloc — the constituents slice is retained by the emitted occurrence (or copied into pooled storage); the allocation is the product, not garbage
+			constituents := make([]*event.Occurrence, 0, size)
 			for _, w := range ws {
 				constituents = append(constituents, w.init)
 			}
-			//lint:allow hotalloc — dedup map allocated once per closing terminator, not per monitored E2; terminators are the rare event of the A* operator
-			seen := make(map[*event.Occurrence]bool)
+			var seen map[*event.Occurrence]bool
+			if len(ws) > 1 {
+				//lint:allow hotalloc — dedup map only when Cumulative merges several windows into one composite; one window cannot list an E2 twice
+				seen = make(map[*event.Occurrence]bool)
+			}
 			for _, w := range ws {
 				for _, e2 := range w.acc {
 					if !seen[e2] && event.StampLess(e2, o) {
-						seen[e2] = true
+						if seen != nil {
+							seen[e2] = true
+						}
 						constituents = append(constituents, e2)
 					}
 				}
