@@ -45,11 +45,11 @@ type linkCoalescer struct {
 
 	// freeEnvs recycles flushed batch slices for in-memory payloads; the
 	// transport stage returns each slice after unpacking it.  freeRuns
-	// recycles the envRun boxes those slices ship in, and freeBufs does
-	// the same for serialized frames.
-	freeEnvs [][]wire.Envelope
-	freeRuns []*envRun
-	freeBufs [][]byte
+	// recycles the envRun boxes those slices ship in, and freeFrames does
+	// the same for serialized batch frames and their buffers.
+	freeEnvs   [][]wire.Envelope
+	freeRuns   []*envRun
+	freeFrames []*frame
 }
 
 // envRun is the bus payload of an in-memory coalesced batch.  Boxing the
@@ -59,6 +59,13 @@ type linkCoalescer struct {
 // end-to-end profile before this container existed.
 type envRun struct {
 	envs []wire.Envelope
+}
+
+// frame is the bus payload of a serialized batch, boxed as a pointer for
+// the reason envRun is: a []byte header in the Message's any field is one
+// heap copy per send.  The box and its buffer are recycled together.
+type frame struct {
+	buf []byte
 }
 
 // linkBatch is one link's accumulating envelope run, addressed by dense
@@ -166,14 +173,15 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 			}
 			c.recycleEnvs(envs)
 		case sys.cfg.Serialize:
-			buf := c.getBuf()
+			fr := c.getFrame()
 			//lint:allow hotalloc — AppendBatch allocates only on its error path (unencodable batch), and the panic below formats only then
-			buf, err := sys.codec.AppendBatch(buf, envs)
+			buf, err := sys.codec.AppendBatch(fr.buf[:0], envs)
 			if err != nil {
 				//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
 				panic(fmt.Sprintf("ddetect: batch not encodable: %v", err))
 			}
-			sys.bus.SendBatchSite(now, lb.from, lb.to, buf, len(envs), len(buf))
+			fr.buf = buf
+			sys.bus.SendBatchSite(now, lb.from, lb.to, fr, len(envs), len(buf))
 			// The receiver decodes fresh occurrences from the frame; the
 			// in-memory originals' transport references end at the encode.
 			releaseOccs(envs)
@@ -225,19 +233,19 @@ func (c *linkCoalescer) recycleRun(run *envRun) {
 	c.freeRuns = append(c.freeRuns, run)
 }
 
-// getBuf pops a recycled wire-frame buffer (or nil, letting AppendBatch
-// allocate the first time).
-func (c *linkCoalescer) getBuf() []byte {
-	n := len(c.freeBufs)
+// getFrame pops a recycled frame box, its buffer still attached (a new
+// box has none, letting AppendBatch allocate the first time).
+func (c *linkCoalescer) getFrame() *frame {
+	n := len(c.freeFrames)
 	if n == 0 {
-		return nil
+		return &frame{}
 	}
-	buf := c.freeBufs[n-1]
-	c.freeBufs = c.freeBufs[:n-1]
-	return buf[:0]
+	fr := c.freeFrames[n-1]
+	c.freeFrames = c.freeFrames[:n-1]
+	return fr
 }
 
-// recycleBuf returns a delivered wire frame to the free list.
-func (c *linkCoalescer) recycleBuf(buf []byte) {
-	c.freeBufs = append(c.freeBufs, buf[:0])
+// recycleFrame returns a delivered batch frame to the free list.
+func (c *linkCoalescer) recycleFrame(fr *frame) {
+	c.freeFrames = append(c.freeFrames, fr)
 }

@@ -182,11 +182,11 @@ func (st *ingestStage) raise(s *Site, typ string, class event.Class, params even
 
 // transportStage drains the bus in one batch per tick, unpacks each
 // message's payload — a coalesced envelope run, a serialized batch frame,
-// or a single envelope in the differential unbatched mode — and feeds the
-// envelopes into the destination site's reorderer, which restores
-// per-link FIFO order.  The drain and decode scratch slices are reused
-// across ticks, and unpacked batch containers go back to the coalescer's
-// free lists.
+// or a single envelope (encoded or not) in the differential unbatched mode
+// — and feeds the envelopes into the destination site's reorderer, which
+// restores per-link FIFO order.  The drain and decode scratch slices are
+// reused across ticks, and unpacked batch containers go back to the
+// coalescer's free lists.
 type transportStage struct {
 	sys     *System
 	batch   []network.Message
@@ -223,20 +223,18 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 			n += len(p.envs)
 			sys.coal.recycleEnvs(p.envs)
 			sys.coal.recycleRun(p)
-		case []byte:
-			if wire.IsBatch(p) {
-				st.decoded = st.decoded[:0]
-				//lint:allow hotalloc — DecodeBatch allocates only when rejecting a corrupt frame, and the panic below formats only then
-				if err := sys.codec.DecodeBatch(p, st.appendDecoded); err != nil {
-					//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
-					panic(fmt.Sprintf("ddetect: corrupt batch: %v", err))
-				}
-				st.acceptRun(dst, m.FromSite, m.Seq, st.decoded)
-				n += len(st.decoded)
-				clear(st.decoded)
-				sys.coal.recycleBuf(p)
-				break
+		case *frame:
+			st.decoded = st.decoded[:0]
+			//lint:allow hotalloc — DecodeBatch allocates only when rejecting a corrupt frame, and the panic below formats only then
+			if err := sys.codec.DecodeBatch(p.buf, st.appendDecoded); err != nil {
+				//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
+				panic(fmt.Sprintf("ddetect: corrupt batch: %v", err))
 			}
+			st.acceptRun(dst, m.FromSite, m.Seq, st.decoded)
+			n += len(st.decoded)
+			clear(st.decoded)
+			sys.coal.recycleFrame(p)
+		case []byte:
 			//lint:allow hotalloc — Decode allocates only when rejecting a corrupt frame, and the panic below formats only then
 			env, err := sys.codec.Decode(p)
 			if err != nil {

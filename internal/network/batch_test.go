@@ -124,49 +124,6 @@ func TestLinkStatsSorted(t *testing.T) {
 	}
 }
 
-// The value-based heap must agree with a straightforward sort on the
-// (DeliverAt, push order) key across an adversarial schedule.
-func TestDeliveryQueueOrdering(t *testing.T) {
-	b := newTestBus(Config{BaseLatency: 1, Jitter: 200, DropRate: 0.25, RetransmitDelay: 50, Seed: 99})
-	const n = 500
-	for i := 0; i < n; i++ {
-		send(b, int64(i), "a", "b", i)
-	}
-	var prevAt int64 = -1
-	seen := 0
-	var prevPayload int = -1
-	for _, m := range b.DrainDue(1<<40, nil) {
-		if m.DeliverAt < prevAt {
-			t.Fatalf("DeliverAt went backwards: %d after %d", m.DeliverAt, prevAt)
-		}
-		if m.DeliverAt == prevAt && m.Payload.(int) < prevPayload {
-			t.Fatalf("tie not broken by send order: %d after %d", m.Payload, prevPayload)
-		}
-		prevAt, prevPayload = m.DeliverAt, m.Payload.(int)
-		seen++
-	}
-	if seen != n {
-		t.Fatalf("delivered %d, want %d", seen, n)
-	}
-}
-
-func BenchmarkBusSend(b *testing.B) {
-	bus := newTestBus(Config{BaseLatency: 10, Jitter: 40, Seed: 1})
-	payload := struct{ x int }{1}
-	a, dst := site("a"), site("b")
-	var drain []Message
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bus.SendBatchSite(int64(i), a, dst, payload, 1, 0)
-		if i%1024 == 1023 {
-			b.StopTimer()
-			drain = bus.DrainDue(int64(i)+1024, drain[:0])
-			b.StartTimer()
-		}
-	}
-}
-
 func BenchmarkBusSendBatch(b *testing.B) {
 	bus := newTestBus(Config{BaseLatency: 10, Jitter: 40, Seed: 1})
 	payload := struct{ x int }{1}

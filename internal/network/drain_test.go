@@ -28,7 +28,7 @@ func TestDrainDueEmptyAndBufferGrowth(t *testing.T) {
 	}
 }
 
-// ringRoster is the 8-site membership the drain benchmark loads.
+// ringRoster is the 8-site membership the bus benchmarks send around.
 var ringRoster = func() *core.Roster {
 	ids := make([]core.SiteID, 8)
 	for i := range ids {
@@ -37,28 +37,76 @@ var ringRoster = func() *core.Roster {
 	return core.NewRoster(ids)
 }()
 
-// loadBus enqueues n messages around the 8-link ring, all due by horizon.
-func loadBus(b *Bus, n int) {
-	b.SetRoster(ringRoster)
-	for i := 0; i < n; i++ {
-		b.SendBatchSite(clock.Microticks(i%100), core.Site(i%8), core.Site((i+1)%8), i, 1, 0)
+// benchBus runs the crank's shape — an instant's sends, then its drain,
+// the instants one mean delay apart so that each bus keeps about inflight
+// messages in flight — and times one of the two phases.  It does so over
+// 4096/inflight buses at once, so that a round moves 4096 messages at
+// every depth and the timer is switched equally often.  ns/msg staying
+// flat from 16 to 4096 in flight is the point.
+func benchBus(b *testing.B, inflight int, timeSends bool) {
+	b.ReportAllocs()
+	b.StopTimer()
+	buses := make([]*Bus, 4096/inflight)
+	for i := range buses {
+		buses[i] = NewBus(Config{BaseLatency: 10, Jitter: 40, Seed: int64(i + 1)})
+		buses[i].SetRoster(ringRoster)
 	}
+	var buf []Message
+	now := clock.Microticks(0)
+	sends := func() int {
+		for _, bus := range buses {
+			for i := 0; i < inflight; i++ {
+				bus.SendBatchSite(now, core.Site(i%8), core.Site((i+1)%8), nil, 1, 0)
+			}
+		}
+		return len(buses) * inflight
+	}
+	drains := func() int {
+		n := 0
+		for _, bus := range buses {
+			buf = bus.DrainDue(now, buf[:0])
+			n += len(buf)
+		}
+		return n
+	}
+	msgs := 0
+	phase := func(run func() int, timed bool) {
+		if !timed {
+			run()
+			return
+		}
+		b.StartTimer()
+		n := run()
+		b.StopTimer()
+		msgs += n
+	}
+	round := func() {
+		now += 30
+		phase(sends, timeSends)
+		phase(drains, !timeSends)
+	}
+	for i := 0; i < 8; i++ { // slabs, rings and buf reach their steady size
+		round()
+	}
+	b.ResetTimer()
+	msgs = 0
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 }
 
 // BenchmarkDrainDue measures the batch-drain path the transport stage
-// uses: one lock acquisition, one pre-sized batch slice reused across
-// iterations.
+// uses; one op is a round of 4096 messages.
 func BenchmarkDrainDue(b *testing.B) {
-	b.ReportAllocs()
-	var buf []Message
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		bus := NewBus(Config{BaseLatency: 5, Jitter: 20, Seed: 1})
-		loadBus(bus, 1024)
-		b.StartTimer()
-		buf = bus.DrainDue(1_000_000, buf[:0])
-		if len(buf) != 1024 {
-			b.Fatalf("drained %d", len(buf))
-		}
+	for _, inflight := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) { benchBus(b, inflight, false) })
+	}
+}
+
+// BenchmarkBusSend measures the send path under the same schedule.
+func BenchmarkBusSend(b *testing.B) {
+	for _, inflight := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) { benchBus(b, inflight, true) })
 	}
 }

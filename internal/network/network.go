@@ -21,13 +21,17 @@
 // ratio is measurable.  SendUnbatchedSite is the differential twin — the
 // same traffic as envelope-per-message frames under the same delay
 // schedule — used to prove batching is a pure transport optimization.
+//
+// A Bus is owned by one goroutine (the crank, in ddetect) and takes no
+// lock.  It delivers in (DeliverAt, send order) and asks one thing in
+// return: while messages are in flight, a send is not at an earlier
+// instant than the sends and drains before it (see calendar).
 package network
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -110,14 +114,12 @@ type LinkStat struct {
 	Bytes     uint64
 }
 
-// Bus is the deterministic simulated network.  It is safe for concurrent
-// use, though the simulation driver typically owns it from one goroutine.
+// Bus is the deterministic simulated network.  It is not safe for
+// concurrent use: one goroutine owns it.
 type Bus struct {
-	mu      sync.Mutex
-	cfg     Config
-	rng     *rand.Rand
-	queue   deliveryQueue
-	pushSeq uint64
+	cfg   Config
+	rng   *rand.Rand
+	queue calendar
 	// byFrom is the (from,to) link index, sized by SetRoster: byFrom[from]
 	// holds the destinations this site has ever sent to, resolved by a
 	// short linear scan (a site's out-degree is the number of sinks it
@@ -149,20 +151,20 @@ func NewBus(cfg Config) *Bus {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Bus{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	b := &Bus{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	b.queue.init()
+	return b
 }
 
 // SetRoster attaches the sealed site roster the send methods' indexes
 // refer to.  Call it once, before traffic flows (ddetect does so at seal).
 func (b *Bus) SetRoster(r *core.Roster) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.roster = r
 	b.byFrom = make([]fromLinks, r.Len())
 }
 
 // link resolves a link: a short scan of the sender's destination list,
-// falling through to creation on first use.  Caller holds b.mu.
+// falling through to creation on first use.
 func (b *Bus) link(from, to core.Site) *linkState {
 	fl := &b.byFrom[from]
 	for i, t := range fl.tos {
@@ -177,7 +179,7 @@ func (b *Bus) link(from, to core.Site) *linkState {
 }
 
 // draw rolls one latency/jitter/loss schedule: the delay until delivery
-// and the number of transmission attempts.  Caller holds b.mu.
+// and the number of transmission attempts.
 func (b *Bus) draw() (delay clock.Microticks, attempts int) {
 	delay = b.cfg.BaseLatency
 	if b.cfg.Jitter > 0 {
@@ -191,13 +193,12 @@ func (b *Bus) draw() (delay clock.Microticks, attempts int) {
 	return delay, attempts
 }
 
-// enqueue pushes one message and maintains the send-side counters.
-// Caller holds b.mu.
+// enqueue files one message for delivery and maintains the send-side
+// counters.
 func (b *Bus) enqueue(m Message) {
-	b.pushSeq++
-	b.queue.push(queued{msg: m, order: b.pushSeq})
+	b.queue.push(m)
 	b.stats.Sent++
-	if n := len(b.queue); n > b.stats.MaxInFlight {
+	if n := b.queue.n; n > b.stats.MaxInFlight {
 		b.stats.MaxInFlight = n
 	}
 }
@@ -210,8 +211,6 @@ func (b *Bus) enqueue(m Message) {
 //
 //sentinel:hotpath
 func (b *Bus) SendBatchSite(now clock.Microticks, from, to core.Site, payload any, envelopes, bytes int) Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	ls := b.link(from, to)
 	delay, attempts := b.draw()
 	ls.seq++
@@ -247,16 +246,13 @@ func (b *Bus) SendBatchSite(now clock.Microticks, from, to core.Site, payload an
 // of SendBatchSite (ddetect's DisableBatching mode): per-envelope
 // framing, same deterministic delivery order, so detection results can
 // be compared byte for byte.  A []byte payload counts its length as
-// payload bytes.  payloadAt is invoked with the bus lock held and must
-// not call back into the Bus.
+// payload bytes.  payloadAt must not call back into the Bus.
 //
 //sentinel:hotpath
 func (b *Bus) SendUnbatchedSite(now clock.Microticks, from, to core.Site, n int, payloadAt func(int) any) {
 	if n <= 0 {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	ls := b.link(from, to)
 	delay, attempts := b.draw()
 	bytes := 0
@@ -286,70 +282,30 @@ func (b *Bus) SendUnbatchedSite(now clock.Microticks, from, to core.Site, n int,
 	}
 }
 
-// DrainDue pops every message due at or before now, in deterministic
+// DrainDue removes every message due at or before now, in deterministic
 // (DeliverAt, send order) order, appending to buf (pass the previous
 // tick's slice, resliced to zero length, to reuse its backing array).
-// This is the batch form the transport stage drains the bus with: one
-// lock acquisition and one pre-sized append run per tick instead of a
-// lock round trip per message.
 //
 //sentinel:hotpath
 func (b *Bus) DrainDue(now clock.Microticks, buf []Message) []Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	// Pre-size: count the due messages (a linear scan over the heap
-	// slice, no allocation) and grow buf once.
-	due := 0
-	for i := range b.queue {
-		if b.queue[i].msg.DeliverAt <= now {
-			due++
-		}
-	}
-	if due == 0 {
-		return buf
-	}
-	if free := cap(buf) - len(buf); free < due {
-		//lint:allow hotalloc — amortized growth of the caller-owned reuse buffer; steady state reuses the grown capacity tick after tick
-		grown := make([]Message, len(buf), len(buf)+due)
-		copy(grown, buf)
-		buf = grown
-	}
-	for len(b.queue) > 0 && b.queue[0].msg.DeliverAt <= now {
-		buf = append(buf, b.queue.pop().msg)
-	}
-	b.stats.Delivered += uint64(due)
+	had := len(buf)
+	buf = b.queue.drain(now, buf)
+	b.stats.Delivered += uint64(len(buf) - had)
 	return buf
 }
 
 // Pending returns the number of in-flight messages.
-func (b *Bus) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.queue)
-}
+func (b *Bus) Pending() int { return b.queue.n }
 
 // NextDeliveryAt returns the earliest pending delivery time.
-func (b *Bus) NextDeliveryAt() (clock.Microticks, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.queue) == 0 {
-		return 0, false
-	}
-	return b.queue[0].msg.DeliverAt, true
-}
+func (b *Bus) NextDeliveryAt() (clock.Microticks, bool) { return b.queue.next() }
 
 // Stats returns a snapshot of the counters.
-func (b *Bus) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
-}
+func (b *Bus) Stats() Stats { return b.stats }
 
 // LinkStats returns the per-link activity breakdown in (From, To) roster
 // order — which is SiteID order — resolving names at snapshot time.
 func (b *Bus) LinkStats() []LinkStat {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var out []LinkStat
 	for from := range b.byFrom {
 		fl := &b.byFrom[from]
@@ -365,62 +321,4 @@ func (b *Bus) LinkStats() []LinkStat {
 		sort.Slice(row, func(i, j int) bool { return row[i].To < row[j].To })
 	}
 	return out
-}
-
-type queued struct {
-	msg   Message
-	order uint64
-}
-
-func (q queued) less(u queued) bool {
-	if q.msg.DeliverAt != u.msg.DeliverAt {
-		return q.msg.DeliverAt < u.msg.DeliverAt
-	}
-	return q.order < u.order
-}
-
-// deliveryQueue is a value-based binary min-heap on (DeliverAt, send
-// order).  Like ddetect's readyQueue it deliberately avoids
-// container/heap: entries live by value in one backing array (no per-item
-// allocation) and push/pop sift directly (no interface boxing on the
-// per-message hot path).
-type deliveryQueue []queued
-
-func (q *deliveryQueue) push(it queued) {
-	*q = append(*q, it)
-	h := *q
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h[i].less(h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *deliveryQueue) pop() queued {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = queued{} // release the payload reference
-	h = h[:n]
-	*q = h
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		least := l
-		if r := l + 1; r < n && h[r].less(h[l]) {
-			least = r
-		}
-		if !h[least].less(h[i]) {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-	return top
 }

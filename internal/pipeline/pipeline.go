@@ -192,12 +192,18 @@ func (d *Driver) Hook(fn func(StageEvent)) {
 	}
 }
 
-// Tick runs every stage once at simulated time now.
+// Tick runs every stage once at simulated time now.  The stage boundaries
+// are chained — the instant one stage ends is the instant the next starts
+// — so a tick reads the wall clock once per stage plus once; hooks run
+// between two stages and are timed out of both by one more read after they
+// return.
 func (d *Driver) Tick(now clock.Microticks) {
+	start := d.now()
 	for i, s := range d.stages {
-		start := d.now()
 		items := s.Tick(now)
-		elapsed := d.now().Sub(start)
+		end := d.now()
+		elapsed := end.Sub(start)
+		start = end
 		st := &d.stats[i]
 		st.Ticks++
 		st.Items += uint64(items)
@@ -210,6 +216,9 @@ func (d *Driver) Tick(now clock.Microticks) {
 			ev := StageEvent{Stage: st.Name, Now: now, Items: items, Elapsed: elapsed}
 			for _, h := range d.hooks {
 				h(ev)
+			}
+			if i+1 < len(d.stages) {
+				start = d.now()
 			}
 		}
 	}

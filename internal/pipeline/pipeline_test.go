@@ -54,40 +54,62 @@ func TestDriverRunsStagesInOrder(t *testing.T) {
 }
 
 func TestDriverFakeClock(t *testing.T) {
-	a := &countStage{name: "a", items: 1}
-	b := &countStage{name: "b", items: 1}
-	d := NewDriver(a, b)
-	// Fake clock: each stage appears to take exactly 64ns (two reads per
-	// stage, 32ns apart), so every instrumentation field is predictable.
-	var ticks int64
-	d.SetNow(func() time.Time {
-		ticks++
-		return time.Unix(0, 32*ticks)
-	})
-	var elapsed []time.Duration
-	d.Hook(func(ev StageEvent) { elapsed = append(elapsed, ev.Elapsed) })
-	d.Tick(1)
-	d.Tick(2)
-	for i, e := range elapsed {
-		if e != 32*time.Nanosecond {
-			t.Fatalf("event %d elapsed %v, want 32ns", i, e)
+	// Fake clock: every read is 32ns after the one before, and stage
+	// boundaries are chained, so each stage appears to take exactly 32ns
+	// and every instrumentation field is predictable.  A tick over two
+	// stages reads the clock three times bare and four times hooked (one
+	// more after the hooks between the stages); the hook below also burns
+	// 320ns of fake time, which must be billed to neither stage.
+	for _, hooked := range []bool{false, true} {
+		a := &countStage{name: "a", items: 1}
+		b := &countStage{name: "b", items: 1}
+		d := NewDriver(a, b)
+		var ticks, reads int64
+		d.SetNow(func() time.Time {
+			ticks++
+			reads++
+			return time.Unix(0, 32*ticks)
+		})
+		var hookTotal time.Duration
+		wantReads := int64(2 * 3)
+		fake := true
+		if hooked {
+			d.Hook(func(ev StageEvent) {
+				if fake && ev.Elapsed != 32*time.Nanosecond {
+					t.Fatalf("stage %s elapsed %v, want 32ns", ev.Stage, ev.Elapsed)
+				}
+				hookTotal += ev.Elapsed
+				ticks += 10
+			})
+			wantReads = 2 * 4
 		}
-	}
-	for _, st := range d.Stats() {
-		if st.Busy != 64*time.Nanosecond || st.MaxTick != 32*time.Nanosecond {
-			t.Fatalf("stage %s busy=%v max=%v, want 64ns/32ns", st.Name, st.Busy, st.MaxTick)
+		d.Tick(1)
+		d.Tick(2)
+		if reads != wantReads {
+			t.Fatalf("hooked=%v: %d clock reads over two ticks, want %d", hooked, reads, wantReads)
 		}
-		// 32ns falls in bucket [32, 64) = index 5, both samples.
-		if st.Hist.Counts[5] != 2 || st.Hist.Total() != 2 {
-			t.Fatalf("stage %s histogram %v", st.Name, st.Hist.Counts)
+		var busy time.Duration
+		for _, st := range d.Stats() {
+			if st.Busy != 64*time.Nanosecond || st.MaxTick != 32*time.Nanosecond {
+				t.Fatalf("hooked=%v: stage %s busy=%v max=%v, want 64ns/32ns", hooked, st.Name, st.Busy, st.MaxTick)
+			}
+			// 32ns falls in bucket [32, 64) = index 5, both samples.
+			if st.Hist.Counts[5] != 2 || st.Hist.Total() != 2 {
+				t.Fatalf("hooked=%v: stage %s histogram %v", hooked, st.Name, st.Hist.Counts)
+			}
+			busy += st.Busy
 		}
-	}
-	// SetNow(nil) restores a real clock; ticking must not panic and keeps
-	// counting.
-	d.SetNow(nil)
-	d.Tick(3)
-	if st := d.Stats(); st[0].Ticks != 3 {
-		t.Fatalf("ticks %d, want 3", st[0].Ticks)
+		if hooked && hookTotal != busy {
+			t.Fatalf("hooks saw %v, Busy totals %v", hookTotal, busy)
+		}
+		// SetNow(nil) restores a real clock; ticking must not panic and
+		// keeps counting.
+		fake = false
+		d.SetNow(nil)
+		d.Tick(3)
+		if st := d.Stats(); st[0].Ticks != 3 {
+			t.Fatalf("ticks %d, want 3", st[0].Ticks)
+		}
 	}
 }
 
