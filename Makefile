@@ -64,7 +64,7 @@ trace-overhead:
 # present, is embedded so the report carries its own before/after
 # comparison of the PR-10 traced-while-pooled hot path (plus the new
 # BenchmarkSustainedThroughputTraced arm, which has no PR-9 row).
-BENCH_PKGS := . ./internal/detector ./internal/eventlog ./internal/network ./internal/wire ./internal/obs
+BENCH_PKGS := . ./internal/detector ./internal/event ./internal/eventlog ./internal/network ./internal/wire ./internal/obs
 
 bench:
 	$(GO) build -o $(BENCHJSON) ./cmd/benchjson

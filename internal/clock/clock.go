@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Microticks is a time quantity in units of the reference clock granularity
@@ -203,11 +204,15 @@ func (sc *SiteClock) Divergence(ref Microticks) Microticks {
 }
 
 // System is a deterministic simulated time base shared by a set of sites.
-// It is safe for concurrent use.
+// It is safe for concurrent use.  Reading the time takes no lock: now is
+// an atomic that Now loads, because every raise stamps from it and the
+// goroutine turning the crank is, in every configuration that exists, the
+// only writer.  Advance and AdvanceTo still serialize on mu, so several
+// writers stay correct too; mu also guards the site table.
 type System struct {
 	mu    sync.RWMutex
 	cfg   Config
-	now   Microticks
+	now   atomic.Int64 // Microticks; stored under mu, loaded without it
 	sites map[string]*SiteClock
 }
 
@@ -285,12 +290,8 @@ func (s *System) Sites() []string {
 	return names
 }
 
-// Now returns the current reference time.
-func (s *System) Now() Microticks {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.now
-}
+// Now returns the current reference time: one atomic load, no lock.
+func (s *System) Now() Microticks { return s.now.Load() }
 
 // Advance moves the reference clock forward by d microticks and returns the
 // new reference time.  Advancing by a negative duration panics: simulated
@@ -301,8 +302,7 @@ func (s *System) Advance(d Microticks) Microticks {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.now += d
-	return s.now
+	return s.now.Add(d)
 }
 
 // AdvanceTo moves the reference clock to the absolute time t, which must
@@ -310,10 +310,10 @@ func (s *System) Advance(d Microticks) Microticks {
 func (s *System) AdvanceTo(t Microticks) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t < s.now {
-		panic(fmt.Sprintf("clock: AdvanceTo(%d) would move time backwards from %d", t, s.now))
+	if now := s.now.Load(); t < now {
+		panic(fmt.Sprintf("clock: AdvanceTo(%d) would move time backwards from %d", t, now))
 	}
-	s.now = t
+	s.now.Store(t)
 }
 
 // Reading is a site clock observation: the local tick and the derived
@@ -326,9 +326,9 @@ type Reading struct {
 
 // ReadSite observes the named site's clock at the current reference time.
 func (s *System) ReadSite(name string) (Reading, error) {
+	now := s.now.Load()
 	s.mu.RLock()
 	sc := s.sites[name]
-	now := s.now
 	s.mu.RUnlock()
 	if sc == nil {
 		return Reading{}, fmt.Errorf("clock: unknown site %q", name)

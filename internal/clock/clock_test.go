@@ -3,6 +3,7 @@ package clock
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -226,5 +227,39 @@ func TestPaperConfigScale(t *testing.T) {
 	// granularity 1/10s = 100 microticks, Π < g_g.
 	if c.LocalGranularity != 10 || c.GlobalGranularity != 100 || c.Precision >= c.GlobalGranularity {
 		t.Errorf("PaperConfig drifted from the Section 5.1 scale: %+v", c)
+	}
+}
+
+// TestNowIsLockFreeAndRaceFree runs readers of Now against a writer: Now
+// takes no lock, so under -race this is the test that the load and the
+// stores are atomic, and every reader must see time only move forwards.
+func TestNowIsLockFreeAndRaceFree(t *testing.T) {
+	s := MustNewSystem(PaperConfig())
+	const steps = 5000
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := Microticks(0)
+			for last < steps {
+				now := s.Now()
+				if now < last {
+					t.Errorf("Now went backwards: %d after %d", now, last)
+					return
+				}
+				last = now
+			}
+		}()
+	}
+	for i := 0; i < steps/2; i++ {
+		s.Advance(1)
+	}
+	for target := Microticks(steps/2 + 1); target <= steps; target++ {
+		s.AdvanceTo(target)
+	}
+	wg.Wait()
+	if s.Now() != steps {
+		t.Fatalf("Now = %d after advancing to %d", s.Now(), steps)
 	}
 }

@@ -41,6 +41,35 @@ type ingestStage struct {
 	// raised counts Site.Raise calls since the last tick, for the
 	// stage's item accounting.
 	raised int
+	// routes resolves a raised type name, in one lookup on a table only
+	// the crank goroutine touches, to what raise needs of it; the shared
+	// Registry's lock is taken only the first time a name is seen.  seal
+	// enters every type some definition needs; any other declared type is
+	// entered by its first raise, with no needers — DefineAt is refused
+	// after seal, so an entry cannot go stale.  An undeclared name is
+	// never entered, so it resolves once it has been declared.
+	routes map[string]typeRoute
+}
+
+// typeRoute is what raising one event type takes: its dense ID and the
+// roster indexes of the sites hosting a definition that needs it.
+type typeRoute struct {
+	id      event.TypeID
+	needers []core.Site
+}
+
+// route resolves typ; ok is false for a name the registry does not know.
+func (st *ingestStage) route(typ string) (typeRoute, bool) {
+	if r, ok := st.routes[typ]; ok {
+		return r, true
+	}
+	id := st.sys.reg.TypeID(typ)
+	if id == 0 {
+		return typeRoute{}, false
+	}
+	r := typeRoute{id: id}
+	st.routes[typ] = r
+	return r, true
 }
 
 func (st *ingestStage) Name() string { return "ingest" }
@@ -97,13 +126,15 @@ func (st *ingestStage) Tick(now clock.Microticks) int {
 func (st *ingestStage) raise(s *Site, typ string, class event.Class, params event.Params) (*event.Occurrence, error) {
 	sys := st.sys
 	sys.seal()
-	typeID := sys.reg.TypeID(typ)
-	if typeID == 0 {
+	rt, ok := st.route(typ)
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", event.ErrUnknownType, typ)
 	}
 	if s.crashed {
 		return nil, fmt.Errorf("%w: %q", ErrCrashed, s.ID)
 	}
+	// One clock read serves the stamp, the envelope and the raise mark.
+	now := sys.clk.Now()
 	var occ *event.Occurrence
 	if pool := sys.opool; pool != nil {
 		// Pooled raise: the occurrence, its singleton stamp and the
@@ -111,14 +142,14 @@ func (st *ingestStage) raise(s *Site, typ string, class event.Class, params even
 		// roster lookup) come from recycled storage; params stay
 		// caller-owned.  The creator reference is dropped below once the
 		// deliveries hold their own.
-		occ = pool.GetPrimitive(typ, class, s.StampNow(), s.idx, params)
+		occ = pool.GetPrimitive(typ, class, s.stampAt(now), s.idx, params)
 	} else {
-		occ = event.NewPrimitive(typ, class, s.StampNow(), params)
+		occ = event.NewPrimitive(typ, class, s.stampAt(now), params)
 	}
 	// The existence check above already paid the name lookup; carrying
 	// the dense ID from here on keeps every downstream dispatch — local
 	// delivery and each receiving site's detector — string-free.
-	occ.TypeID = typeID
+	occ.TypeID = rt.id
 	if sys.cfg.Serialize {
 		if err := wire.ValidateOccurrence(occ); err != nil {
 			return nil, fmt.Errorf("ddetect: occurrence not encodable: %w", err)
@@ -139,7 +170,6 @@ func (st *ingestStage) raise(s *Site, typ string, class event.Class, params even
 			return nil, fmt.Errorf("ddetect: journal: %w", err)
 		}
 	}
-	now := sys.clk.Now()
 	env := wire.Envelope{Kind: wire.KindEvent, Occ: occ, RaisedAt: now}
 	sys.stats.Raised++
 	st.raised++
@@ -157,12 +187,11 @@ func (st *ingestStage) raise(s *Site, typ string, class event.Class, params even
 		tr.Emit(obs.SpanEvent{ID: tr.ID(occ, occ.Gen()), At: int64(now), Kind: obs.KindRaise,
 			Site: string(s.ID), SiteRef: int32(s.idx) + 1, Type: typ, Detail: detail})
 	}
-	needers := sys.needersIdx[typ]
-	if len(needers) == 0 {
+	if len(rt.needers) == 0 {
 		sys.stats.Unconsumed++
 		return occ, nil
 	}
-	for _, dst := range needers {
+	for _, dst := range rt.needers {
 		if dst == s.idx {
 			s.selfDeliver(env)
 		} else {
@@ -321,9 +350,25 @@ func (sys *System) acceptEvent(occ *event.Occurrence, dst *Site, from core.Site,
 // byte-identical (spans included) for every worker count.
 type releaseStage struct {
 	sys *System
+	// advance is st.advanceSite bound once: a method value built per Tick
+	// would escape through pipeline.Pool.Run and cost a malloc per Step.
+	advance func(i int)
+}
+
+func newReleaseStage(sys *System) *releaseStage {
+	st := &releaseStage{sys: sys}
+	st.advance = st.advanceSite
+	return st
 }
 
 func (st *releaseStage) Name() string { return "release" }
+
+// advanceSite is the advance phase for site i: it pops what the site's
+// watermark has made stable into the site's released buffer.
+func (st *releaseStage) advanceSite(i int) {
+	s := st.sys.sites[i]
+	s.released = s.re.releaseInto(st.sys.cfg.Release, s.released[:0])
+}
 
 // Tick releases watermark-stable events into the detect inboxes.
 //
@@ -332,10 +377,7 @@ func (st *releaseStage) Name() string { return "release" }
 func (st *releaseStage) Tick(now clock.Microticks) int {
 	sys := st.sys
 	sites := sys.sites
-	sys.pool.Run(len(sites), func(i int) {
-		s := sites[i]
-		s.released = s.re.releaseInto(sys.cfg.Release, s.released[:0])
-	})
+	sys.pool.Run(len(sites), st.advance)
 	n := 0
 	for _, s := range sites {
 		if len(s.released) == 0 {
@@ -381,9 +423,35 @@ type detectStage struct {
 	// iterating sys.sites in ID order, so the shard keeps the
 	// deterministic site order the barrier argument relies on.
 	active []*Site
+	// now is the current tick's simulated time, for detectSite; detect is
+	// st.detectSite bound once (see releaseStage.advance).
+	now    clock.Microticks
+	detect func(i int)
+}
+
+func newDetectStage(sys *System) *detectStage {
+	st := &detectStage{sys: sys}
+	st.detect = st.detectSite
+	return st
 }
 
 func (st *detectStage) Name() string { return "detect" }
+
+// detectSite runs active site i's detector over its inbox and fires its
+// due timers.  It runs on a worker when the pool has any, and writes
+// only state the site owns.
+func (st *detectStage) detectSite(i int) {
+	s := st.active[i]
+	s.det.PublishBatch(s.inbox)
+	// Dispatch done: drop the delivery references taken at coal.add /
+	// selfDeliver.  Whatever the graph buffered holds its own.
+	for j, o := range s.inbox {
+		s.inbox[j] = nil
+		o.Release()
+	}
+	s.inbox = s.inbox[:0]
+	s.det.AdvanceTo(st.now)
+}
 
 //sentinel:hotpath
 func (st *detectStage) Tick(now clock.Microticks) int {
@@ -396,19 +464,8 @@ func (st *detectStage) Tick(now clock.Microticks) int {
 			n += len(s.inbox)
 		}
 	}
-	st.active = active
-	sys.pool.Run(len(active), func(i int) {
-		s := active[i]
-		s.det.PublishBatch(s.inbox)
-		// Dispatch done: drop the delivery references taken at coal.add /
-		// selfDeliver.  Whatever the graph buffered holds its own.
-		for j, o := range s.inbox {
-			s.inbox[j] = nil
-			o.Release()
-		}
-		s.inbox = s.inbox[:0]
-		s.det.AdvanceTo(now)
-	})
+	st.active, st.now = active, now
+	sys.pool.Run(len(active), st.detect)
 	return n
 }
 
@@ -451,15 +508,17 @@ func (st *publishStage) Tick(now clock.Microticks) int {
 			if lat < 0 {
 				lat = 0
 			}
-			if ds := sys.defStats[o.Type]; ds != nil {
-				ds.Detections++
-				ds.LatencySum += lat
-				if lat > ds.LatencyMax {
-					ds.LatencyMax = lat
-				}
+			// One lookup by the detection's dense ID serves the stats, the
+			// hold histogram, the handlers and the forwarding list.
+			rec := sys.defFor(o)
+			ds := &rec.stats
+			ds.Detections++
+			ds.LatencySum += lat
+			if lat > ds.LatencyMax {
+				ds.LatencyMax = lat
 			}
 			sys.hDetect.Observe(int64(lat))
-			sys.observeHold(o, now)
+			sys.observeHold(o, rec.hold, now)
 			if sys.smp != nil {
 				sys.decideSample(o)
 			}
@@ -484,11 +543,12 @@ func (st *publishStage) Tick(now clock.Microticks) int {
 			// send→recv, … like any primitive from here.
 			o.Mark = event.MarkRaise
 			o.MarkAt = int64(now)
-			hs := sys.handlers[o.Type]
-			for _, h := range hs {
+			for _, h := range rec.handlers {
 				h(o)
 			}
-			sys.forwardComposite(s, o)
+			if len(rec.needers) > 0 {
+				sys.forwardComposite(s, o, rec.needers, now)
+			}
 			// Drop the recorder's reference.  Handlers have run by now:
 			// System.Subscribe's contract is a borrow — the occurrence is
 			// valid for the duration of each handler call, and a handler

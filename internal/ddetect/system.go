@@ -188,6 +188,22 @@ func (d DefStats) MeanLatency() float64 {
 	return float64(d.LatencySum) / float64(d.Detections)
 }
 
+// defRecord is everything the publish stage consults per detection of one
+// definition, gathered so that one lookup by the detection's TypeID
+// (System.defByID) replaces a string-keyed map access for each.
+type defRecord struct {
+	stats DefStats
+	// hold is the definition's release→publish hold histogram (nil, a
+	// no-op, without Config.Metrics).
+	hold *obs.Histogram
+	// handlers are the System.Subscribe handlers, in subscription order;
+	// Subscribe appends here before and after seal alike.
+	handlers []detector.Handler
+	// needers lists the other definitions' hosts the detection is
+	// forwarded to (hierarchical mode); filled at seal.
+	needers []core.Site
+}
+
 // StageLeg identifies one pipeline-leg transition in the per-stage
 // latency attribution.  The engine stamps each occurrence with the last
 // stage boundary it crossed (event.StageMark) and the simulated instant
@@ -285,11 +301,11 @@ type System struct {
 	// output, so determinism artifacts stay byte-identical.
 	roster *core.Roster
 	// needers records, per event type, the ID-sorted hosting sites whose
-	// definitions reference it; needersIdx is its dense post-seal twin
-	// (same order — interning preserves ID order), the form the raise and
-	// publish hot paths consult.
-	needers    map[string][]core.SiteID
-	needersIdx map[string][]core.Site
+	// definitions reference it.  seal translates each list to dense roster
+	// indexes (same order — interning preserves ID order) and hands it to
+	// the two hot paths that consult it: the ingest stage's raise routes
+	// and the per-definition records below.
+	needers map[string][]core.SiteID
 	// codec is the roster-aware wire codec (Serialize mode): interned site
 	// indexes in occurrence frames, delta-encoded heartbeat frontiers.
 	codec *wire.Codec
@@ -306,14 +322,21 @@ type System struct {
 
 	// tr is the lineage tracer (nil when Config.Trace is unset: every
 	// span point then costs one nil check); smp is the head sampler
-	// gating its span stream (nil keeps everything).  defStats
-	// accumulates per-definition detection stats, keyed by name;
-	// defNames keeps the names sorted so snapshots and exporters never
-	// iterate the map.
-	tr       *obs.Tracer
-	smp      *obs.Sampler
-	defStats map[string]*DefStats
+	// gating its span stream (nil keeps everything).
+	tr  *obs.Tracer
+	smp *obs.Sampler
+	// defs holds one record per definition — its detection stats, hold
+	// histogram, System.Subscribe handlers and forwarding list — keyed by
+	// name; defNames keeps the names sorted so snapshots and exporters
+	// never iterate the map.  defByID (built at seal) indexes the same
+	// records by the definition's TypeID, which every detection carries,
+	// so the publish stage resolves all four with one slice index.
+	// noDef stands in for a detection whose type has no record: it has no
+	// handlers, no needers and no histogram, and nothing reads its stats.
+	defs     map[string]*defRecord
 	defNames []string
+	defByID  []*defRecord
+	noDef    defRecord
 	// hRelease and hDetect are the system's native metric instruments
 	// (nil no-ops without Config.Metrics): simulated-time histograms of
 	// raise-to-release and detection latency.
@@ -322,16 +345,10 @@ type System struct {
 	// legs aggregates per-leg pipeline latency always (plain field
 	// arithmetic, no allocation); hLegs mirrors each leg into a registry
 	// histogram when Config.Metrics is set (nil no-ops otherwise), and
-	// defHold does the same per definition for the release→publish hold
-	// of its constituents (created at DefineAt, nil map without
-	// Metrics).
-	legs    [numLegs]LegStats
-	hLegs   [numLegs]*obs.Histogram
-	defHold map[string]*obs.Histogram
-
-	// handlers holds System.Subscribe handlers by definition name; the
-	// publish stage fans detections out to them on the crank goroutine.
-	handlers map[string][]detector.Handler
+	// defRecord.hold does the same per definition for the
+	// release→publish hold of its constituents.
+	legs  [numLegs]LegStats
+	hLegs [numLegs]*obs.Histogram
 
 	// pipe composes the five stage drivers; pool is the worker pool the
 	// release and detect stages fan out on; ingest is kept aside because
@@ -349,7 +366,9 @@ type System struct {
 	// nil only when pooling is off (Config.DisablePooling); every
 	// Retain/Release in the engine is then a no-op.  Tracing does not
 	// suspend it: span identity is generation-stamped, so recycling is
-	// invisible to the tracer.
+	// invisible to the tracer.  seal picks its form from the worker
+	// count: owner-local at Workers ≤ 1, where the crank goroutine is the
+	// only one that retains and releases, concurrent above that.
 	opool *event.Pool
 
 	// inFlightEvents counts event envelopes on the bus (heartbeats are
@@ -368,17 +387,16 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	sys := &System{
-		cfg:      cfg,
-		clk:      clk,
-		bus:      network.NewBus(cfg.Net),
-		reg:      event.NewRegistry(),
-		needers:  make(map[string][]core.SiteID),
-		handlers: make(map[string][]detector.Handler),
-		nextHB:   cfg.HeartbeatEvery,
-		pool:     pipeline.NewPool(cfg.Pipeline.Workers),
-		tr:       cfg.Trace,
-		smp:      cfg.Sample,
-		defStats: make(map[string]*DefStats),
+		cfg:     cfg,
+		clk:     clk,
+		bus:     network.NewBus(cfg.Net),
+		reg:     event.NewRegistry(),
+		needers: make(map[string][]core.SiteID),
+		nextHB:  cfg.HeartbeatEvery,
+		pool:    pipeline.NewPool(cfg.Pipeline.Workers),
+		tr:      cfg.Trace,
+		smp:     cfg.Sample,
+		defs:    make(map[string]*defRecord),
 	}
 	for i := range sys.legs {
 		sys.legs[i].Leg = StageLeg(i)
@@ -393,19 +411,18 @@ func NewSystem(cfg Config) (*System, error) {
 			sys.hLegs[i] = reg.Histogram(
 				fmt.Sprintf("sentinel_stage_leg_microticks{leg=%q}", StageLeg(i)), bounds...)
 		}
-		sys.defHold = make(map[string]*obs.Histogram)
 		reg.RegisterCollector(sys.collectMetrics)
 	}
 	if cfg.Journal != nil {
 		sys.journal = eventlog.NewWriter(cfg.Journal)
 	}
 	sys.coal = newLinkCoalescer(sys)
-	sys.ingest = &ingestStage{sys: sys}
+	sys.ingest = &ingestStage{sys: sys, routes: make(map[string]typeRoute)}
 	sys.pipe = pipeline.NewDriver(
 		sys.ingest,
 		&transportStage{sys: sys},
-		&releaseStage{sys: sys},
-		&detectStage{sys: sys},
+		newReleaseStage(sys),
+		newDetectStage(sys),
 		&publishStage{sys: sys},
 	)
 	sys.pipe.Hook(cfg.Pipeline.OnStage)
@@ -461,7 +478,7 @@ func (sys *System) Stats() Stats {
 	if len(sys.defNames) > 0 {
 		st.Definitions = make([]DefStats, 0, len(sys.defNames))
 		for _, name := range sys.defNames {
-			st.Definitions = append(st.Definitions, *sys.defStats[name])
+			st.Definitions = append(st.Definitions, sys.defs[name].stats)
 		}
 	}
 	st.Legs = append([]LegStats(nil), sys.legs[:]...)
@@ -506,7 +523,7 @@ func (sys *System) collectMetrics(emit func(name string, value float64)) {
 		emit(fmt.Sprintf("sentinel_stage_ticks_total{stage=%q}", ss.Name), float64(ss.Ticks))
 	}
 	for _, name := range sys.defNames {
-		ds := sys.defStats[name]
+		ds := &sys.defs[name].stats
 		emit(fmt.Sprintf("sentinel_def_detections_total{def=%q}", name), float64(ds.Detections))
 		emit(fmt.Sprintf("sentinel_def_latency_max_microticks{def=%q}", name), float64(ds.LatencyMax))
 		emit(fmt.Sprintf("sentinel_def_latency_mean_microticks{def=%q}", name), ds.MeanLatency())
@@ -520,6 +537,17 @@ func (sys *System) collectMetrics(emit func(name string, value float64)) {
 		emit(fmt.Sprintf("sentinel_detector_shared_subexprs{site=%q}", s.ID), float64(is.SharedSubexprs))
 		emit(fmt.Sprintf("sentinel_detector_interned_subtrees{site=%q}", s.ID), float64(is.InternedSubtrees))
 	}
+}
+
+// defFor returns the record of the definition o is a detection of, or
+// the inert noDef.
+//
+//sentinel:hotpath
+func (sys *System) defFor(o *event.Occurrence) *defRecord {
+	if id := int(o.TypeID); uint(id) < uint(len(sys.defByID)) && sys.defByID[id] != nil {
+		return sys.defByID[id]
+	}
+	return &sys.noDef
 }
 
 // legFor maps a (last crossed, now crossing) stage-mark pair to the leg
@@ -566,16 +594,12 @@ func (sys *System) mark(o *event.Occurrence, m event.StageMark, now clock.Microt
 // observeHold attributes, for each constituent the detection o captured,
 // the wait between the constituent's watermark release and this publish
 // instant — the detector-hold leg — plus the per-definition hold
-// histogram when metrics are attached.  Constituent marks are left
+// histogram h (nil, a no-op, without metrics).  Constituent marks are left
 // untouched: a constituent a Recent context reuses is attributed once
 // per detection it participates in, each time from its release instant.
 //
 //sentinel:hotpath
-func (sys *System) observeHold(o *event.Occurrence, now clock.Microticks) {
-	var h *obs.Histogram
-	if sys.defHold != nil {
-		h = sys.defHold[o.Type]
-	}
+func (sys *System) observeHold(o *event.Occurrence, h *obs.Histogram, now clock.Microticks) {
 	for _, c := range o.Constituents {
 		if c.Mark != event.MarkRelease {
 			continue
@@ -814,17 +838,18 @@ func (sys *System) DefineAt(host core.SiteID, name, expression string, ctx detec
 	for _, prim := range expr.Primitives(root) {
 		sys.addNeeder(prim, host)
 	}
-	// Per-definition stats slot (publish stage fills it); defNames keeps
-	// the map's keys sorted so snapshots never iterate the map.
-	if sys.defStats[name] == nil {
-		sys.defStats[name] = &DefStats{Name: name}
-		sys.defNames = append(sys.defNames, name)
-		sort.Strings(sys.defNames)
-		if sys.defHold != nil {
-			sys.defHold[name] = sys.cfg.Metrics.Histogram(
+	// Per-definition record (the publish stage fills its stats); defNames
+	// keeps the map's keys sorted so snapshots never iterate the map.
+	if sys.defs[name] == nil {
+		rec := &defRecord{stats: DefStats{Name: name}}
+		if reg := sys.cfg.Metrics; reg != nil {
+			rec.hold = reg.Histogram(
 				fmt.Sprintf("sentinel_def_hold_microticks{def=%q}", name),
 				10, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000)
 		}
+		sys.defs[name] = rec
+		sys.defNames = append(sys.defNames, name)
+		sort.Strings(sys.defNames)
 	}
 	// Recorder: buffer every detection of this definition on its host
 	// site, in detection order.  The publish stage completes them after
@@ -872,19 +897,32 @@ func (sys *System) hostOf(name string) *Site {
 // the publish stage may recycle it through the occurrence pool.  A
 // handler that stores the pointer past its return must call Retain (and
 // Release when done); handlers that only read fields, serialize, or
-// count need nothing.
+// count need nothing.  At Workers ≤ 1 the occurrence pool is owner-local,
+// so that Retain and Release must themselves run on the goroutine driving
+// the System — inside a handler, between Steps, or through
+// live.Runtime.Do — the rule every other System method already has; only
+// at Workers > 1 are they safe from any goroutine (DESIGN.md §2h).
 func (sys *System) Subscribe(name string, h detector.Handler) error {
 	if sys.hostOf(name) == nil {
 		return fmt.Errorf("ddetect: no site defines %q", name)
 	}
-	sys.handlers[name] = append(sys.handlers[name], h)
+	rec := sys.defs[name]
+	if rec == nil {
+		// Defined on a site's detector directly, not through DefineAt:
+		// nothing records its detections for the publish stage, so the
+		// handler is kept but never runs.
+		rec = &defRecord{stats: DefStats{Name: name}}
+		sys.defs[name] = rec
+	}
+	rec.handlers = append(rec.handlers, h)
 	return nil
 }
 
 // seal freezes the topology: it interns the membership into the roster
 // (dense index i names sys.sites[i], since both are ID-sorted), attaches
 // the roster to the bus and the wire codec, translates the needers lists
-// to dense form, and equips every site's reorderer with its source set.
+// to dense form for the raise routes and the definition records, indexes
+// the records by TypeID, and equips every site's reorderer with its source set.
 // Event envelopes only ever flow to the sites recorded in some needers
 // list (any site may raise any type, so each such sink can hear from
 // every other site); a site outside every needers list receives nothing,
@@ -908,14 +946,24 @@ func (sys *System) seal() {
 	sys.bus.SetRoster(sys.roster)
 	sys.codec = &wire.Codec{Roster: sys.roster, Granule: int64(sys.cfg.Clock.GlobalGranularity), Types: sys.reg}
 	sink := make([]bool, len(sys.sites))
-	sys.needersIdx = make(map[string][]core.Site, len(sys.needers))
+	sys.defByID = make([]*defRecord, sys.reg.Count()+1)
 	for typ, hosts := range sys.needers { //lint:allow mapiter — per-type entries are independent and each dense list inherits its string list's ID-sorted order; hbSinks below is appended in sys.sites order
 		dense := make([]core.Site, len(hosts))
 		for i, h := range hosts {
 			dense[i] = sys.roster.MustSite(h)
 			sink[dense[i]] = true
 		}
-		sys.needersIdx[typ] = dense
+		// A needed type reaches its hosts when it is raised (the ingest
+		// route) and, if it is itself a definition, when it is detected
+		// (the record).  DefineAt validated every name against the
+		// registry, so the ID is never 0 here.
+		sys.ingest.routes[typ] = typeRoute{id: sys.reg.TypeID(typ), needers: dense}
+		if rec := sys.defs[typ]; rec != nil {
+			rec.needers = dense
+		}
+	}
+	for _, name := range sys.defNames {
+		sys.defByID[sys.reg.TypeID(name)] = sys.defs[name]
 	}
 	for _, s := range sys.sites {
 		if sink[s.idx] {
@@ -930,7 +978,11 @@ func (sys *System) seal() {
 	// keyed by (pointer, generation), so a recycled slot cannot alias a
 	// previous tenant's span.
 	if !sys.cfg.DisablePooling {
-		sys.opool = event.NewPool(sys.roster)
+		if sys.pool.Workers() > 1 {
+			sys.opool = event.NewSharedPool(sys.roster)
+		} else {
+			sys.opool = event.NewPool(sys.roster)
+		}
 		for _, s := range sys.sites {
 			s.det.UsePool(sys.opool)
 		}
@@ -942,8 +994,10 @@ func (sys *System) seal() {
 func (sys *System) PoolStats() event.PoolStats { return sys.opool.Stats() }
 
 // StampNow returns the site's current primitive timestamp.
-func (s *Site) StampNow() core.Stamp {
-	ref := s.sys.clk.Now()
+func (s *Site) StampNow() core.Stamp { return s.stampAt(s.sys.clk.Now()) }
+
+// stampAt is the site's primitive timestamp at reference time ref.
+func (s *Site) stampAt(ref clock.Microticks) core.Stamp {
 	l := s.clk.LocalTick(ref)
 	return core.Stamp{Site: s.ID, Global: s.clk.GlobalTick(l), Local: l}
 }
@@ -974,15 +1028,11 @@ func (s *Site) MustRaise(typ string, class event.Class, params event.Params) *ev
 }
 
 // forwardComposite queues a locally detected composite occurrence for the
-// sites that reference it by name (hierarchical mode); the publish stage
-// flushes the queued forwards at the end of its Tick.  Runs on the crank
-// goroutine (publish stage).
-func (sys *System) forwardComposite(from *Site, o *event.Occurrence) {
-	needers := sys.needersIdx[o.Type]
-	if len(needers) == 0 {
-		return
-	}
-	now := sys.clk.Now()
+// sites that reference it by name (needers, from the definition's record;
+// hierarchical mode) at the publish stage's instant now; the stage flushes
+// the queued forwards at the end of its Tick.  Runs on the crank
+// goroutine.
+func (sys *System) forwardComposite(from *Site, o *event.Occurrence, needers []core.Site, now clock.Microticks) {
 	env := wire.Envelope{Kind: wire.KindEvent, Occ: o, RaisedAt: now}
 	for _, dst := range needers {
 		if dst == from.idx {

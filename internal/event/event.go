@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -206,8 +205,10 @@ type Occurrence struct {
 
 	// Pool lifecycle state (see pool.go).  pool is nil for ordinary
 	// heap-allocated occurrences, for which Retain/Release are no-ops.
-	pool  *Pool
-	refs  atomic.Int32
+	pool *Pool
+	// refs is the reference count: plain arithmetic under an owner-local
+	// pool, sync/atomic functions under a shared one (Pool.shared).
+	refs  int32
 	gen   uint32
 	freed bool
 	// Inline and reusable storage: stamp0/istamp0 back the singleton

@@ -50,7 +50,9 @@ func New(sys *ddetect.System) *Runtime {
 
 // Do runs fn on the crank goroutine and waits for it to finish.  All
 // other methods are built on Do, so any ad-hoc access to the underlying
-// system is as safe as the built-ins.
+// system is as safe as the built-ins.  That includes Retain and Release
+// on an occurrence a handler kept: the occurrence belongs to the system,
+// whose pool counts references without synchronisation at Workers ≤ 1.
 func (r *Runtime) Do(fn func(sys *ddetect.System)) error {
 	r.mu.Lock()
 	if r.closed {

@@ -153,11 +153,14 @@ type Driver struct {
 	stages []Stage
 	hooks  []func(StageEvent)
 	stats  []StageStats
-	// now supplies the wall-clock instants the per-stage latency
-	// histograms are built from.  It is instrumentation only: nothing it
-	// returns feeds simulated time or detection results, which is why
-	// this is the single permitted wall-clock read in the engine.
-	now func() time.Time
+	// now supplies the instants the per-stage latency histograms are
+	// built from, as elapsed monotonic time since the driver's epoch — a
+	// difference of two readings is all Tick ever uses, and time.Now
+	// would read the wall clock as well on every call.  It is
+	// instrumentation only: nothing it returns feeds simulated time or
+	// detection results, which is why this is the single permitted
+	// real-clock read in the engine.
+	now func() time.Duration
 }
 
 // NewDriver builds a driver over the given stages, run in the given
@@ -166,20 +169,21 @@ func NewDriver(stages ...Stage) *Driver {
 	d := &Driver{
 		stages: stages,
 		stats:  make([]StageStats, len(stages)),
-		now:    time.Now, //lint:allow walltime — latency instrumentation, never simulation state; see Driver.now
 	}
+	d.SetNow(nil)
 	for i, s := range stages {
 		d.stats[i].Name = s.Name()
 	}
 	return d
 }
 
-// SetNow replaces the wall-clock source used for stage latency
-// instrumentation (nil restores time.Now), making the histograms and
-// per-stage counters testable with a deterministic fake.
-func (d *Driver) SetNow(now func() time.Time) {
+// SetNow replaces the clock used for stage latency instrumentation — any
+// monotonic elapsed-time reading; nil restores the real one — making the
+// histograms and per-stage counters testable with a deterministic fake.
+func (d *Driver) SetNow(now func() time.Duration) {
 	if now == nil {
-		now = time.Now //lint:allow walltime — default restore of the instrumentation clock
+		epoch := time.Now() //lint:allow walltime — the instrumentation clock's epoch; only its monotonic reading is ever used, never simulation state; see Driver.now
+		now = func() time.Duration { return time.Since(epoch) }
 	}
 	d.now = now
 }
@@ -194,7 +198,7 @@ func (d *Driver) Hook(fn func(StageEvent)) {
 
 // Tick runs every stage once at simulated time now.  The stage boundaries
 // are chained — the instant one stage ends is the instant the next starts
-// — so a tick reads the wall clock once per stage plus once; hooks run
+// — so a tick reads the clock once per stage plus once; hooks run
 // between two stages and are timed out of both by one more read after they
 // return.
 func (d *Driver) Tick(now clock.Microticks) {
@@ -202,7 +206,7 @@ func (d *Driver) Tick(now clock.Microticks) {
 	for i, s := range d.stages {
 		items := s.Tick(now)
 		end := d.now()
-		elapsed := end.Sub(start)
+		elapsed := end - start
 		start = end
 		st := &d.stats[i]
 		st.Ticks++
