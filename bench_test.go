@@ -11,7 +11,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/viz"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -918,20 +916,17 @@ func BenchmarkSubexpressionSharing(b *testing.B) {
 	}
 }
 
-// --- PIPE: staged pipeline, sequential vs parallel detect -------------------
+// --- PIPE: detect-heavy staged-pipeline workload ------------------------------
 
 // runPipelineWorkload drives a detect-heavy multi-definition deployment:
 // `hosts` sites each hosting `defsPerHost` definitions over the same four
 // primitive types, fed by a definition-free feeder site whose raises fan
 // out to every host.  Events are raised in bursts between steps so the
-// release stage hands each host's detect stage sizeable batches — the
-// shape the parallel detect stage (Config.Pipeline.Workers) scales with
-// cores on.
-func runPipelineWorkload(b *testing.B, workers, hosts, defsPerHost, events int, mutate ...func(*ddetect.Config)) ddetect.Stats {
+// release stage hands each host's detect stage sizeable batches.
+func runPipelineWorkload(b *testing.B, hosts, defsPerHost, events int, mutate ...func(*ddetect.Config)) ddetect.Stats {
 	b.Helper()
 	cfg := ddetect.Config{
-		Net:      network.Config{BaseLatency: 20, Jitter: 30, Seed: 7},
-		Pipeline: pipeline.Config{Workers: workers},
+		Net: network.Config{BaseLatency: 20, Jitter: 30, Seed: 7},
 	}
 	for _, m := range mutate {
 		m(&cfg)
@@ -969,45 +964,6 @@ func runPipelineWorkload(b *testing.B, workers, hosts, defsPerHost, events int, 
 		b.Fatal(err)
 	}
 	return sys.Stats()
-}
-
-// BenchmarkPipelineWorkers is the multi-definition acceptance benchmark
-// for the staged pipeline: identical workload under sequential
-// (workers=0) and parallel (workers=GOMAXPROCS) detect.  On a multi-core
-// box the parallel mode is faster; detections are asserted identical, so
-// the comparison is apples to apples.
-func BenchmarkPipelineWorkers(b *testing.B) {
-	modes := []int{0, 2, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	var wantDetections float64 = -1
-	for _, workers := range modes {
-		if seen[workers] {
-			continue
-		}
-		seen[workers] = true
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var st ddetect.Stats
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				st = runPipelineWorkload(b, workers, 8, 12, 640)
-			}
-			if wantDetections < 0 {
-				wantDetections = float64(st.Detections)
-			} else if float64(st.Detections) != wantDetections {
-				b.Fatalf("workers=%d: %d detections, sequential had %.0f",
-					workers, st.Detections, wantDetections)
-			}
-			b.ReportMetric(float64(st.Detections), "detections")
-			var detectBusy float64
-			for _, sg := range st.Stages {
-				if sg.Name == "detect" {
-					detectBusy = float64(sg.Busy.Nanoseconds()) / float64(sg.Ticks)
-				}
-			}
-			b.ReportMetric(detectBusy, "detect-ns/tick")
-		})
-	}
 }
 
 // --- OBS: observability overhead ------------------------------------------
@@ -1076,7 +1032,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 
 // TestTraceOverheadSmoke is the CI guard for the always-on tracing cost:
 // a real-sink tracer at 1% head sampling must not regress the pooled
-// pipeline-workers workload by more than 3% comparing the minima of
+// detect-heavy pipeline workload by more than 3% comparing the minima of
 // interleaved measurements.
 // (Earlier PRs compared an unsunk tracer against an *unpooled* baseline
 // under an 8% budget, because an attached tracer used to force pooling
@@ -1094,7 +1050,7 @@ func TestTraceOverheadSmoke(t *testing.T) {
 	measure := func(mutate ...func(*ddetect.Config)) float64 {
 		return float64(testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runPipelineWorkload(b, 0, 4, 6, 320, mutate...)
+				runPipelineWorkload(b, 4, 6, 320, mutate...)
 			}
 		}).NsPerOp())
 	}

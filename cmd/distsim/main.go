@@ -1,9 +1,7 @@
 // Command distsim runs an end-to-end distributed detection simulation and
 // reports detection counts, timestamp set sizes and latency under
-// configurable sites, network adversity and clock skew.
-// -workers parallelizes the detect stage across sites (results are
-// identical to sequential); -stats prints per-stage pipeline counters and
-// wall-clock latency histograms.
+// configurable sites, network adversity and clock skew.  -stats prints
+// per-stage pipeline counters and wall-clock latency histograms.
 //
 // Observability (internal/obs): -trace FILE writes the event lineage as
 // Chrome trace_event JSON (load in chrome://tracing or Perfetto; one
@@ -16,7 +14,7 @@
 // collectors (heap, GC, goroutines) into -metrics.  All of it is a pure
 // observer: the simulation output is identical with every flag on or off.
 //
-//	distsim -sites 8 -events 5000 -latency 20 -jitter 60 -drop 0.05 -workers 4 -stats
+//	distsim -sites 8 -events 5000 -latency 20 -jitter 60 -drop 0.05 -stats
 //	distsim -sites 4 -events 2000 -trace trace.json -metrics prom -flightrec 32
 //	distsim -events 20000 -spanlog spans.log -sample 0.01 -pprof heap.pb.gz -metrics prom
 package main
@@ -37,7 +35,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -51,7 +48,6 @@ type options struct {
 	drop    float64
 	skew    int64
 	seed    int64
-	workers int
 	stats   bool
 	// defs > 0 replaces the fixed four-definition setup with a generated
 	// multi-tenant definition set of that size (workload.GenDefs), hosted
@@ -92,9 +88,8 @@ func main() {
 	latency := flag.Int64("latency", 20, "network base latency (microticks)")
 	jitter := flag.Int64("jitter", 40, "network jitter (microticks)")
 	drop := flag.Float64("drop", 0, "network drop rate")
-	skew := flag.Int64("skew", 30, "max clock offset ± (microticks, < Π/2)")
+	skew := flag.Int64("skew", 30, "max clock offset ± (microticks, at most Π/2)")
 	seed := flag.Int64("seed", 42, "random seed")
-	workers := flag.Int("workers", 0, "detect-stage worker count (0 = sequential; results identical)")
 	stats := flag.Bool("stats", false, "print per-stage pipeline counters, latency histograms and pool counters")
 	defsN := flag.Int("defs", 0, "generate this many definitions instead of the fixed four (multi-tenant mode)")
 	overlap := flag.Float64("overlap", 0.5, "shared-subexpression fraction of generated definitions (with -defs)")
@@ -107,24 +102,16 @@ func main() {
 	sample := flag.Float64("sample", -1, "head-sample trace spans at this rate in [0,1] (deterministic per -seed; negative keeps everything)")
 	pprofFile := flag.String("pprof", "", "write a heap profile to this file and fold runtime collectors into -metrics")
 	flag.Parse()
-	if *metrics != "" && *metrics != "prom" && *metrics != "json" {
-		fmt.Fprintf(os.Stderr, "distsim: -metrics must be prom or json, got %q\n", *metrics)
-		os.Exit(2)
-	}
-	if *sample > 1 {
-		fmt.Fprintf(os.Stderr, "distsim: -sample must be in [0,1] (or negative for off), got %g\n", *sample)
-		os.Exit(2)
-	}
-	if *overlap < 0 || *overlap > 1 {
-		fmt.Fprintf(os.Stderr, "distsim: -overlap must be in [0,1], got %g\n", *overlap)
-		os.Exit(2)
-	}
 	o := options{
 		sites: *sites, events: *events, meanGap: *meanGap,
 		latency: *latency, jitter: *jitter, drop: *drop, skew: *skew, seed: *seed,
-		workers: *workers, stats: *stats, noPool: *noPool, noSharing: *noSharing,
+		stats: *stats, noPool: *noPool, noSharing: *noSharing,
 		metrics: *metrics, flightrec: *flightrec, sample: *sample,
 		defs: *defsN, overlap: *overlap,
+	}
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "distsim:", err)
+		os.Exit(2)
 	}
 	for _, f := range []struct {
 		path string
@@ -144,6 +131,45 @@ func main() {
 	simulate(os.Stdout, o)
 }
 
+// validate rejects flag values the simulation cannot run with; main
+// reports the error in one line and exits 2.
+func (o options) validate() error {
+	switch {
+	case o.metrics != "" && o.metrics != "prom" && o.metrics != "json":
+		return fmt.Errorf("-metrics must be prom or json, got %q", o.metrics)
+	case o.sample > 1:
+		return fmt.Errorf("-sample must be in [0,1] (or negative for off), got %g", o.sample)
+	case o.overlap < 0 || o.overlap > 1:
+		return fmt.Errorf("-overlap must be in [0,1], got %g", o.overlap)
+	case o.sites < 1:
+		return fmt.Errorf("-sites must be at least 1, got %d", o.sites)
+	case o.events < 1:
+		return fmt.Errorf("-events must be at least 1, got %d", o.events)
+	case o.meanGap < 1:
+		return fmt.Errorf("-gap must be at least 1, got %d", o.meanGap)
+	}
+	// Every site draws its offset from [-skew, skew], and a site clock may
+	// sit at most Π/2 from the reference.
+	if half := int64(clock.PaperConfig().Precision / 2); o.skew < 0 || o.skew > half {
+		return fmt.Errorf("-skew must be in [0, %d] (Π/2), got %d", half, o.skew)
+	}
+	return o.netConfig().Validate()
+}
+
+// netConfig is the simulated network the -latency, -jitter and -drop flags
+// describe.
+func (o options) netConfig() network.Config {
+	c := network.Config{
+		BaseLatency: o.latency, Jitter: o.jitter,
+		DropRate: o.drop, RetransmitDelay: 4 * o.latency,
+		Seed: workload.SubSeed(o.seed, "net"),
+	}
+	if o.drop > 0 && c.RetransmitDelay == 0 {
+		c.RetransmitDelay = 100
+	}
+	return c
+}
+
 // simulate runs one configuration and writes the report to w.
 func simulate(w io.Writer, o options) {
 	sites, events := &o.sites, &o.events
@@ -151,17 +177,9 @@ func simulate(w io.Writer, o options) {
 	drop, skew, seed := &o.drop, &o.skew, &o.seed
 
 	cfg := ddetect.Config{
-		Net: network.Config{
-			BaseLatency: *latency, Jitter: *jitter,
-			DropRate: *drop, RetransmitDelay: 4 * *latency,
-			Seed: workload.SubSeed(*seed, "net"),
-		},
-		Pipeline:       pipeline.Config{Workers: o.workers},
+		Net:            o.netConfig(),
 		DisablePooling: o.noPool,
 		DisableSharing: o.noSharing,
-	}
-	if *drop > 0 && cfg.Net.RetransmitDelay == 0 {
-		cfg.Net.RetransmitDelay = 100
 	}
 
 	// Observability sinks (all optional, all pure observers).
@@ -186,7 +204,7 @@ func simulate(w io.Writer, o options) {
 	}
 	if o.sample >= 0 {
 		// Head sampling is seeded from the run seed: the same run keeps the
-		// same spans, whatever the worker count, transport or pooling mode.
+		// same spans, whatever the transport or pooling mode.
 		cfg.Sample = obs.NewSampler(uint64(workload.SubSeed(*seed, "sample")), o.sample)
 	}
 	var reg *obs.Registry
@@ -335,7 +353,7 @@ func simulate(w io.Writer, o options) {
 	}
 
 	if o.stats {
-		fmt.Fprintf(w, "\npipeline stages (workers=%d):\n", sys.Workers())
+		fmt.Fprintln(w, "\npipeline stages:")
 		fmt.Fprintf(w, "  %-10s %8s %10s %12s %10s %10s\n",
 			"stage", "ticks", "items", "busy", "max-tick", "p99-tick")
 		for _, sg := range st.Stages {

@@ -63,12 +63,45 @@ func TestSimulateWithAdversity(t *testing.T) {
 	}
 }
 
-func TestSimulateWorkersParity(t *testing.T) {
-	seq := runSim(t, baseOptions())
-	par := baseOptions()
-	par.workers = 4
-	if got := runSim(t, par); got != seq {
-		t.Fatalf("workers=4 report differs from sequential:\n%s\n---\n%s", got, seq)
+// TestValidateRejectsBadFlags pins that every flag value the simulation
+// would panic on is refused up front with a one-line error naming the flag
+// (main prints it and exits 2), and that the defaults' neighbours pass.
+func TestValidateRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*options)
+		want   string // substring of the error; "" means valid
+	}{
+		{"defaults", func(o *options) {}, ""},
+		{"skew at Π/2", func(o *options) { o.skew = 49 }, ""},
+		{"drop with zero latency", func(o *options) { o.drop = 0.5; o.latency = 0 }, ""},
+		{"metrics", func(o *options) { o.metrics = "xml" }, "-metrics"},
+		{"sample", func(o *options) { o.sample = 1.5 }, "-sample"},
+		{"overlap", func(o *options) { o.overlap = -0.1 }, "-overlap"},
+		{"sites 0", func(o *options) { o.sites = 0 }, "-sites"},
+		{"events 0", func(o *options) { o.events = 0 }, "-events"},
+		{"gap 0", func(o *options) { o.meanGap = 0 }, "-gap"},
+		{"skew 5000", func(o *options) { o.skew = 5000 }, "-skew"},
+		{"skew just past Π/2", func(o *options) { o.skew = 50 }, "-skew"},
+		{"skew negative", func(o *options) { o.skew = -1 }, "-skew"},
+		{"drop 1", func(o *options) { o.drop = 1 }, "DropRate"},
+		{"latency -5", func(o *options) { o.latency = -5 }, "negative delay"},
+		{"jitter -1", func(o *options) { o.jitter = -1 }, "negative delay"},
+	} {
+		o := baseOptions()
+		tc.mutate(&o)
+		err := o.validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && (!strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n")):
+			t.Errorf("%s: error %q, want one line mentioning %q", tc.name, err, tc.want)
+		}
+		if tc.want == "" {
+			runSim(t, o) // what validate accepts must not panic
+		}
 	}
 }
 

@@ -16,16 +16,16 @@
 //	            functions reachable from a //sentinel:hotpath root
 //	sitemap   — map[SiteID] keys stay off the hot path (dense core.Site
 //	            roster indexes instead)
-//	stagefx   — bus sends, subscriber fan-out and Stats mutation stay
-//	            in the publish stage (PR-1 pipeline rule)
+//	stagefx   — bus sends stay in the link coalescer and bus drains in
+//	            the transport stage (PR-4 batching rule)
 //	poolfx    — (*sync.Pool).Put of a struct must zero every slice,
 //	            map and interface field in the recycling function, so
 //	            a recycled object cannot resurrect old state (PR-8
 //	            occurrence-pool rule)
 //	obsfx     — internal/obs sinks are the only observability effects
-//	            in stage context (no fmt/log/os printing, no tracer in
-//	            the worker-side detect stage), and internal/obs itself
-//	            never imports time or math/rand (PR-5 pure-observer rule)
+//	            in stage context (no fmt/log/os printing), and
+//	            internal/obs itself never imports time or math/rand
+//	            (PR-5 pure-observer rule)
 //
 // Both drivers audit the //lint:allow exception list: a directive that
 // suppresses nothing is reported stale.  `sentinel-lint -allows ./...`

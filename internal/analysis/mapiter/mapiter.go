@@ -3,7 +3,7 @@
 //
 // Go randomizes map iteration order per run.  The distributed detector's
 // contract is a bit-for-bit deterministic occurrence stream for a given
-// seed and worker count (internal/ddetect/determinism_test.go): any map
+// seed (internal/ddetect/determinism_test.go): any map
 // iteration on the ingest → transport → release → detect → publish path
 // that influences event order, bus send order, or emitted output breaks
 // that contract in a way no fixed workload reliably catches.  The

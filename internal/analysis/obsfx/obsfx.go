@@ -17,12 +17,7 @@
 //     sinks only: no fmt printing, no log package, no builtin
 //     print/println, no direct os.Stdout/os.Stderr writes.  Ad-hoc
 //     prints in a crank stage are unsynchronized observability effects —
-//     unordered relative to spans, invisible to the flight recorder, and
-//     racy the moment a stage moves off the crank goroutine.
-//   - the detect stage additionally must not touch the Tracer at all:
-//     its Tick body runs on worker goroutines, and the tracer's
-//     crank-only ID assignment is exactly what makes span IDs
-//     deterministic.
+//     unordered relative to spans and invisible to the flight recorder.
 //
 // Pure string formatting (fmt.Sprintf, fmt.Errorf) is not an effect and
 // stays allowed.  Test files are exempt, like the rest of the suite.
@@ -126,20 +121,6 @@ func stageContext(fd *ast.FuncDecl) bool {
 	return ok && stageReceivers[id.Name]
 }
 
-// detectContext reports whether fd is a detectStage method — the one
-// stage whose body runs on worker goroutines.
-func detectContext(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	id, ok := t.(*ast.Ident)
-	return ok && id.Name == "detectStage"
-}
-
 // pureFmt are the fmt functions with no output effect.
 func pureFmt(name string) bool {
 	return strings.HasPrefix(name, "Sprint") || name == "Errorf" || name == "Appendf" ||
@@ -147,7 +128,6 @@ func pureFmt(name string) bool {
 }
 
 func checkStageBody(pass *analysis.Pass, fd *ast.FuncDecl) {
-	detect := detectContext(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
@@ -180,13 +160,6 @@ func checkStageBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 						return true
 					}
 				}
-				if detect {
-					if t := pass.TypeOf(fun.X); t != nil && namedObs(t, "Tracer") {
-						pass.Reportf(x.Pos(),
-							"obsfx: Tracer.%s in the detect stage (in %s); detect runs on worker goroutines — span points are crank-side only",
-							fun.Sel.Name, fd.Name.Name)
-					}
-				}
 			}
 		case *ast.SelectorExpr:
 			// Direct os.Stdout / os.Stderr references (handed to writers,
@@ -201,22 +174,4 @@ func checkStageBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// namedObs reports whether t (behind pointers) is internal/obs.<name>.
-func namedObs(t types.Type, name string) bool {
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == name && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), "internal/obs")
 }

@@ -2,8 +2,7 @@
 // fmt printing, the log package, builtin print/println and direct
 // os.Stdout/os.Stderr references are flagged inside stage methods and
 // the designated stage helpers; pure formatting, tracer emission from
-// crank stages and the same calls outside stage context are not.  The
-// detect stage additionally may not touch the tracer at all.
+// crank stages and the same calls outside stage context are not.
 package fixture
 
 import (
@@ -32,15 +31,6 @@ func (st *transportStage) Tick() io.Writer {
 	w := io.Writer(os.Stderr) // want `obsfx: os\.Stderr referenced in stage context`
 	fmt.Fprintln(w, "tick")   // want `obsfx: fmt\.Fprintln in stage context`
 	return os.Stdout          // want `obsfx: os\.Stdout referenced in stage context`
-}
-
-type detectStage struct{ tr *obs.Tracer }
-
-// Tick runs on worker goroutines: even the sanctioned tracer is
-// off-limits here.
-func (st *detectStage) Tick() {
-	_ = st.tr.ID("occ", 0)                          // want `obsfx: Tracer\.ID in the detect stage`
-	st.tr.Emit(obs.SpanEvent{Kind: obs.KindDetect}) // want `obsfx: Tracer\.Emit in the detect stage`
 }
 
 type publishStage struct{ tr *obs.Tracer }

@@ -1,41 +1,25 @@
 // Package fixture exercises the stagefx analyzer: bus sends outside the
-// coalescer flush, bus drains outside the transport stage, shared Stats
-// writes and handler fan-out outside publish-stage context are flagged;
-// linkCoalescer sends, transportStage drains, publishStage effects, local
-// Stats snapshots and //lint:allow-ed crank stages are not.
+// coalescer flush and bus drains outside the transport stage are flagged;
+// linkCoalescer sends and transportStage drains are not.
 package fixture
 
-import (
-	"repro/internal/ddetect"
-	"repro/internal/detector"
-	"repro/internal/event"
-	"repro/internal/network"
-)
+import "repro/internal/network"
 
-type sys struct {
-	bus   *network.Bus
-	stats ddetect.Stats
-}
+type sys struct{ bus *network.Bus }
 
-func (s *sys) detectTick(h detector.Handler, o *event.Occurrence) {
+func (s *sys) detectTick() {
 	s.bus.SendBatchSite(0, 0, 1, nil, 1, 0) // want `stagefx: Bus\.SendBatchSite outside the coalescer flush`
-	s.stats.Raised++                        // want `stagefx: Stats mutation outside the publish stage`
-	h(o)                                    // want `stagefx: subscriber fan-out`
 }
 
 func (s *sys) drain() {
 	_ = s.bus.DrainDue(0, nil) // want `stagefx: Bus\.DrainDue outside the transport stage`
-	s.stats.LatencySum = 1     // want `stagefx: Stats mutation outside the publish stage`
 }
 
 type publishStage struct{ sys *sys }
 
-// The publish stage may fan out to handlers and count, but since PR 4 it
-// must hand traffic to the coalescer rather than the bus.
-func (p *publishStage) Tick(h detector.Handler, o *event.Occurrence) {
+// The publish stage must hand traffic to the coalescer rather than the bus.
+func (p *publishStage) Tick() {
 	p.sys.bus.SendBatchSite(0, 0, 1, nil, 1, 0) // want `stagefx: Bus\.SendBatchSite outside the coalescer flush`
-	p.sys.stats.Detections++
-	h(o)
 }
 
 type linkCoalescer struct{ sys *sys }
@@ -59,17 +43,4 @@ func (t *transportStage) Tick() {
 // drains are still transport-only.
 func (c *linkCoalescer) refill() {
 	_ = c.sys.bus.DrainDue(0, nil) // want `stagefx: Bus\.DrainDue outside the transport stage`
-}
-
-// crankStage is serialized on the crank goroutine by construction.
-//
-//lint:allow stagefx — fixture: crank-stage helper, runs before the detect barrier
-func crankStage(s *sys) {
-	s.stats.Heartbeats++
-}
-
-func snapshot(s *sys) ddetect.Stats {
-	st := s.stats
-	st.Raised++ // local copy, not shared state
-	return st
 }

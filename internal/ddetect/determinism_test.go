@@ -2,6 +2,7 @@ package ddetect
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/eventlog"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -18,11 +20,10 @@ import (
 // scenarioOpts parameterizes runScenario.  The zero value is invalid; use
 // defaultScenario() for the canonical six-site adversarial run.
 type scenarioOpts struct {
-	workers int
-	sites   int   // ≥ 3: the definitions live at the first three sites
-	count   int   // workload events
-	seed    int64 // drives the workload, the network and the site skews
-	mutate  func(*Config)
+	sites  int   // ≥ 3: the definitions live at the first three sites
+	count  int   // workload events
+	seed   int64 // drives the workload, the network and the site skews
+	mutate func(*Config)
 	// noObs leaves the system completely uninstrumented.  By default
 	// runScenario arms a flight-recorder-backed tracer (dumped into the
 	// test log on failure); TestObsDeterminism needs a genuinely bare
@@ -48,7 +49,6 @@ func runScenario(t testing.TB, o scenarioOpts) ([]byte, Stats) {
 			BaseLatency: 20, Jitter: 70,
 			DropRate: 0.05, RetransmitDelay: 150, Seed: o.seed + 101,
 		},
-		Pipeline: pipeline.Config{Workers: o.workers},
 	}
 	if o.mutate != nil {
 		o.mutate(&cfg)
@@ -111,35 +111,48 @@ func runScenario(t testing.TB, o scenarioOpts) ([]byte, Stats) {
 	return buf.Bytes(), sys.Stats()
 }
 
-// runPipelineScenario is the canonical six-site scenario at a given
-// worker count (the PR-1 determinism regression's entry point).
-func runPipelineScenario(t testing.TB, workers int) ([]byte, Stats) {
+// runPipelineScenario is the canonical six-site scenario at a given seed
+// with a span log attached: the eventlog, the span stream and the stats.
+func runPipelineScenario(t testing.TB, seed int64) (log, spans []byte, st Stats) {
+	var buf bytes.Buffer
 	o := defaultScenario()
-	o.workers = workers
-	return runScenario(t, o)
+	o.seed = seed
+	o.mutate = func(c *Config) { c.Trace = obs.NewTracer(obs.NewSpanLog(&buf)) }
+	log, st = runScenario(t, o)
+	return log, buf.Bytes(), st
 }
 
-// TestPipelineDeterminism is the regression test for the parallel detect
-// stage: the same seeded scenario must produce byte-identical occurrence
-// logs whatever the worker count.  Run it under -race to also certify the
-// worker pool's isolation contract (the Makefile's ci target does).
+// pipelineGolden holds the SHA-256 of the eventlog and of the span stream
+// runPipelineScenario produces per seed.  The digests were recorded at
+// commit 0f84bd4 (identical there at Workers 0 and 4), the last one with a
+// parallel detect mode to compare against; they change only when the
+// engine's observable behaviour does, and whoever changes it re-records
+// them on purpose.
+var pipelineGolden = []struct {
+	seed       int64
+	detections uint64
+	log, spans string
+}{
+	{5, 1311, "e8a642cb4d19064e679a6dc5f3e2f973b48c30c09fa3e36a4ee13165de59e5bf", "2b5168e4ba72c75dc5c2d852b7c90122eb44282b5e5d02e54fbd16c8501c06ca"},
+	{23, 1309, "c82a91f073e824debf6e3b22ffc128651f94f1aff859ab2f0f6db91e5407fb43", "e178c528310ee91c09226ac97672ca57d631a016d112d79172d073020d54423a"},
+	{41, 1340, "897f5cd3d3a42c8e9c85693af60f7e1b6bb06c69937b5cd1474ce0bf8e85d63f", "7825d06e5a941ceefb1e2a16963b9c13e4ca5b8a5a6f2d825a08225731f5fa10"},
+}
+
+// TestPipelineDeterminism pins the occurrence stream and the span stream
+// of the canonical scenario, byte for byte, against recorded digests: the
+// stages may be rewritten, but what a seeded history detects — in which
+// order, with which stamps and lineage — may not drift.
 func TestPipelineDeterminism(t *testing.T) {
-	seqLog, seqStats := runPipelineScenario(t, 0)
-	if seqStats.Detections == 0 {
-		t.Fatalf("scenario produced no detections; the comparison is vacuous")
-	}
-	if len(seqLog) == 0 {
-		t.Fatalf("empty occurrence log despite %d detections", seqStats.Detections)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		parLog, parStats := runPipelineScenario(t, workers)
-		if parStats.Detections != seqStats.Detections {
-			t.Fatalf("workers=%d: %d detections, sequential had %d",
-				workers, parStats.Detections, seqStats.Detections)
+	for _, g := range pipelineGolden {
+		log, spans, st := runPipelineScenario(t, g.seed)
+		if st.Detections != g.detections {
+			t.Errorf("seed=%d: %d detections, recorded %d", g.seed, st.Detections, g.detections)
 		}
-		if !bytes.Equal(seqLog, parLog) {
-			t.Fatalf("workers=%d: occurrence log (%d bytes) differs from sequential (%d bytes)",
-				workers, len(parLog), len(seqLog))
+		if got := fmt.Sprintf("%x", sha256.Sum256(log)); got != g.log {
+			t.Errorf("seed=%d: eventlog (%d bytes) digest %s, recorded %s", g.seed, len(log), got, g.log)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(spans)); got != g.spans {
+			t.Errorf("seed=%d: span stream (%d bytes) digest %s, recorded %s", g.seed, len(spans), got, g.spans)
 		}
 	}
 }
@@ -193,59 +206,54 @@ func TestBatchingDeterminism(t *testing.T) {
 
 // TestPoolingDeterminism is the PR-8 lifecycle regression: recycling
 // occurrences through the generation-checked pool must be invisible to
-// detection.  Across seeds × site counts × worker counts, the occurrence
-// log must be byte-identical with pooling on and off (Config.
-// DisablePooling is the differential mode), and the pooled runs must
-// actually recycle — puts close to gets — or the comparison would be
-// vacuous.  The scenarios run uninstrumented (noObs) so this matrix pins
-// pooling in isolation; TestTracerComposesWithPooling and
-// TestObsDeterminism cover the pooled-while-traced combination.
+// detection.  Across seeds × site counts, the occurrence log must be
+// byte-identical with pooling on and off (Config.DisablePooling is the
+// differential mode), and the pooled runs must actually recycle — puts
+// close to gets — or the comparison would be vacuous.  The scenarios run
+// uninstrumented (noObs) so this matrix pins pooling in isolation;
+// TestTracerComposesWithPooling and TestObsDeterminism cover the
+// pooled-while-traced combination.
 func TestPoolingDeterminism(t *testing.T) {
 	for _, seed := range []int64{5, 31} {
 		for _, sites := range []int{3, 6} {
-			for _, workers := range []int{0, 4} {
-				var pooled event.PoolStats
-				o := scenarioOpts{
-					sites: sites, count: 250, seed: seed, workers: workers, noObs: true,
-					inspect: func(sys *System) { pooled = sys.PoolStats() },
-				}
-				baseLog, baseStats := runScenario(t, o)
-				if baseStats.Detections == 0 {
-					t.Fatalf("seed=%d sites=%d workers=%d: no detections; comparison is vacuous",
-						seed, sites, workers)
-				}
-				if pooled.Gets == 0 {
-					t.Fatalf("seed=%d sites=%d workers=%d: pool never used; comparison is vacuous",
-						seed, sites, workers)
-				}
-				// Everything but the per-definition recorder references and
-				// any still-buffered partial matches must have been recycled.
-				if pooled.Puts == 0 || pooled.Puts < pooled.Gets/2 {
-					t.Errorf("seed=%d sites=%d workers=%d: pool stats %+v — occurrences leak instead of recycling",
-						seed, sites, workers, pooled)
-				}
-				if pooled.DoublePuts != 0 {
-					t.Errorf("seed=%d sites=%d workers=%d: %d double releases averted",
-						seed, sites, workers, pooled.DoublePuts)
-				}
-				var unpooled event.PoolStats
-				uo := o
-				uo.mutate = func(c *Config) { c.DisablePooling = true }
-				uo.inspect = func(sys *System) { unpooled = sys.PoolStats() }
-				log, st := runScenario(t, uo)
-				if unpooled.Gets != 0 {
-					t.Fatalf("seed=%d sites=%d workers=%d: DisablePooling still drew %d from the pool",
-						seed, sites, workers, unpooled.Gets)
-				}
-				if !bytes.Equal(baseLog, log) {
-					t.Errorf("seed=%d sites=%d workers=%d: occurrence log (%d bytes) differs with pooling off (%d bytes)",
-						seed, sites, workers, len(log), len(baseLog))
-				}
-				if st.Detections != baseStats.Detections || st.Released != baseStats.Released {
-					t.Errorf("seed=%d sites=%d workers=%d: det=%d rel=%d unpooled, want det=%d rel=%d",
-						seed, sites, workers, st.Detections, st.Released,
-						baseStats.Detections, baseStats.Released)
-				}
+			var pooled event.PoolStats
+			o := scenarioOpts{
+				sites: sites, count: 250, seed: seed, noObs: true,
+				inspect: func(sys *System) { pooled = sys.PoolStats() },
+			}
+			baseLog, baseStats := runScenario(t, o)
+			if baseStats.Detections == 0 {
+				t.Fatalf("seed=%d sites=%d: no detections; comparison is vacuous", seed, sites)
+			}
+			if pooled.Gets == 0 {
+				t.Fatalf("seed=%d sites=%d: pool never used; comparison is vacuous", seed, sites)
+			}
+			// Everything but the per-definition recorder references and
+			// any still-buffered partial matches must have been recycled.
+			if pooled.Puts == 0 || pooled.Puts < pooled.Gets/2 {
+				t.Errorf("seed=%d sites=%d: pool stats %+v — occurrences leak instead of recycling",
+					seed, sites, pooled)
+			}
+			if pooled.DoublePuts != 0 {
+				t.Errorf("seed=%d sites=%d: %d double releases averted", seed, sites, pooled.DoublePuts)
+			}
+			var unpooled event.PoolStats
+			uo := o
+			uo.mutate = func(c *Config) { c.DisablePooling = true }
+			uo.inspect = func(sys *System) { unpooled = sys.PoolStats() }
+			log, st := runScenario(t, uo)
+			if unpooled.Gets != 0 {
+				t.Fatalf("seed=%d sites=%d: DisablePooling still drew %d from the pool",
+					seed, sites, unpooled.Gets)
+			}
+			if !bytes.Equal(baseLog, log) {
+				t.Errorf("seed=%d sites=%d: occurrence log (%d bytes) differs with pooling off (%d bytes)",
+					seed, sites, len(log), len(baseLog))
+			}
+			if st.Detections != baseStats.Detections || st.Released != baseStats.Released {
+				t.Errorf("seed=%d sites=%d: det=%d rel=%d unpooled, want det=%d rel=%d",
+					seed, sites, st.Detections, st.Released,
+					baseStats.Detections, baseStats.Released)
 			}
 		}
 	}
@@ -303,14 +311,14 @@ func TestUnbatchedModeReallyUnbatches(t *testing.T) {
 	}
 }
 
-// TestPipelineDeterminismRepeated re-runs the sequential scenario to pin
-// that the log itself is reproducible (no map-iteration or wall-clock
-// leakage into the stream).
+// TestPipelineDeterminismRepeated re-runs the canonical scenario in one
+// process to pin that the streams are reproducible (no map-iteration or
+// wall-clock leakage) at a seed the golden table does not cover.
 func TestPipelineDeterminismRepeated(t *testing.T) {
-	a, _ := runPipelineScenario(t, 0)
-	b, _ := runPipelineScenario(t, 0)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("sequential runs of the same seed diverge")
+	logA, spansA, _ := runPipelineScenario(t, 7)
+	logB, spansB, _ := runPipelineScenario(t, 7)
+	if !bytes.Equal(logA, logB) || !bytes.Equal(spansA, spansB) {
+		t.Fatalf("two runs of the same seed diverge")
 	}
 }
 
@@ -373,56 +381,5 @@ func TestPipelineStageStats(t *testing.T) {
 	det := st.Stages[3]
 	if det.Hist.Total() != det.Ticks {
 		t.Fatalf("detect histogram has %d samples over %d ticks", det.Hist.Total(), det.Ticks)
-	}
-}
-
-// TestPipelineWorkersExerciseParallelPath pins that Workers>1 really does
-// run detection across goroutines' worth of sites (smoke, not perf): a
-// crash/decommission scenario plus temporal-free detection must behave
-// identically to sequential even mid-topology-change.
-func TestPipelineWorkersCrashParity(t *testing.T) {
-	run := func(workers int) (uint64, uint64) {
-		sys := MustNewSystem(Config{
-			Net:      network.Config{BaseLatency: 15, Jitter: 30, Seed: 4},
-			Pipeline: pipeline.Config{Workers: workers},
-		})
-		a := sys.MustAddSite("a", -10, 0)
-		b := sys.MustAddSite("b", 10, 0)
-		sys.MustAddSite("hub", 0, 0)
-		for _, typ := range []string{"A", "B"} {
-			if err := sys.Declare(typ, event.Explicit); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := sys.DefineAt("hub", "AB", "A ; B", detector.Chronicle); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			a.MustRaise("A", event.Explicit, nil)
-			sys.Run(sys.Now()+200, 50)
-			b.MustRaise("B", event.Explicit, nil)
-			sys.Run(sys.Now()+200, 50)
-		}
-		if err := sys.Crash("b"); err != nil {
-			t.Fatal(err)
-		}
-		sys.Run(sys.Now()+2000, 100)
-		if err := sys.Decommission("b"); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Settle(20_000); err != nil {
-			t.Fatal(err)
-		}
-		st := sys.Stats()
-		return st.Detections, st.Released
-	}
-	seqDet, seqRel := run(0)
-	parDet, parRel := run(4)
-	if seqDet != parDet || seqRel != parRel {
-		t.Fatalf("crash scenario diverged: seq (det=%d rel=%d) vs par (det=%d rel=%d)",
-			seqDet, seqRel, parDet, parRel)
-	}
-	if seqDet == 0 {
-		t.Fatalf("crash scenario produced no detections")
 	}
 }

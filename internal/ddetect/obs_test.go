@@ -35,10 +35,10 @@ func attachFlightRecorder(t testing.TB, cfg *Config, perSite int) *obs.FlightRec
 // metrics registry with the system collector — must be a pure observer.
 // Across seeds and site counts the occurrence log is byte-identical with
 // the stack attached and detached, and the span stream itself is
-// byte-identical across worker counts (span IDs are crank-ordered),
-// across pooling modes (span identity is generation-stamped) and for
-// every sampling rate (the PR-10 matrix below: rates 0/0.1/1 × workers
-// 0/4 × pooled/unpooled).  Every traced run draws from the pool.
+// byte-identical across pooling modes (span identity is
+// generation-stamped) and for every sampling rate (the PR-10 matrix
+// below: rates 0/0.1/1 × pooled/unpooled).  Every pooled traced run draws
+// from the pool.
 func TestObsDeterminism(t *testing.T) {
 	for _, seed := range []int64{7, 31} {
 		for _, sites := range []int{3, 6} {
@@ -48,11 +48,11 @@ func TestObsDeterminism(t *testing.T) {
 				t.Fatalf("seed=%d sites=%d: no detections; comparison is vacuous", seed, sites)
 			}
 
-			runObs := func(workers int, disablePooling bool, rate float64) ([]byte, []byte, *obs.Registry) {
+			runObs := func(disablePooling bool, rate float64) ([]byte, []byte, *obs.Registry) {
 				var spans bytes.Buffer
 				var reg *obs.Registry
 				var ps event.PoolStats
-				o := scenarioOpts{sites: sites, count: 250, seed: seed, workers: workers, noObs: true}
+				o := scenarioOpts{sites: sites, count: 250, seed: seed, noObs: true}
 				o.mutate = func(c *Config) {
 					c.DisablePooling = disablePooling
 					c.Trace = obs.NewTracer(obs.MultiSink{
@@ -68,21 +68,21 @@ func TestObsDeterminism(t *testing.T) {
 				o.inspect = func(sys *System) { ps = sys.PoolStats() }
 				log, st := runScenario(t, o)
 				if st.Detections != bareStats.Detections {
-					t.Fatalf("seed=%d sites=%d workers=%d pooled=%v rate=%v: %d detections with obs, %d without",
-						seed, sites, workers, !disablePooling, rate, st.Detections, bareStats.Detections)
+					t.Fatalf("seed=%d sites=%d pooled=%v rate=%v: %d detections with obs, %d without",
+						seed, sites, !disablePooling, rate, st.Detections, bareStats.Detections)
 				}
 				if !disablePooling && ps.Gets == 0 {
-					t.Fatalf("seed=%d sites=%d workers=%d rate=%v: traced run never drew from the pool",
-						seed, sites, workers, rate)
+					t.Fatalf("seed=%d sites=%d rate=%v: traced run never drew from the pool",
+						seed, sites, rate)
 				}
 				if disablePooling && ps.Gets != 0 {
-					t.Fatalf("seed=%d sites=%d workers=%d rate=%v: DisablePooling still drew %d from the pool",
-						seed, sites, workers, rate, ps.Gets)
+					t.Fatalf("seed=%d sites=%d rate=%v: DisablePooling still drew %d from the pool",
+						seed, sites, rate, ps.Gets)
 				}
 				return log, spans.Bytes(), reg
 			}
 
-			obsLog, spans0, reg := runObs(0, false, -1)
+			obsLog, spans0, reg := runObs(false, -1)
 			if !bytes.Equal(bareLog, obsLog) {
 				t.Errorf("seed=%d sites=%d: occurrence log differs with observability attached (%d vs %d bytes)",
 					seed, sites, len(obsLog), len(bareLog))
@@ -111,21 +111,10 @@ func TestObsDeterminism(t *testing.T) {
 				t.Errorf("seed=%d sites=%d: labeled stage-leg histogram missing from export", seed, sites)
 			}
 
-			// Worker counts must not perturb the span stream: every span
-			// point sits on the crank goroutine.
-			obsLogPar, spansPar, _ := runObs(4, false, -1)
-			if !bytes.Equal(bareLog, obsLogPar) {
-				t.Errorf("seed=%d sites=%d workers=4: occurrence log differs with observability attached", seed, sites)
-			}
-			if !bytes.Equal(spans0, spansPar) {
-				t.Errorf("seed=%d sites=%d: span stream differs between workers=0 (%d bytes) and workers=4 (%d bytes)",
-					seed, sites, len(spans0), len(spansPar))
-			}
-
 			// Pooling must not perturb the span stream either: span
 			// identity is keyed (pointer, generation), so the ID sequence
 			// is a function of the occurrence stream alone.
-			unpooledLog, spansUnpooled, _ := runObs(0, true, -1)
+			unpooledLog, spansUnpooled, _ := runObs(true, -1)
 			if !bytes.Equal(bareLog, unpooledLog) {
 				t.Errorf("seed=%d sites=%d: occurrence log differs traced+DisablePooling", seed, sites)
 			}
@@ -136,27 +125,22 @@ func TestObsDeterminism(t *testing.T) {
 
 			// The sampling matrix runs once (the heaviest combination):
 			// for each head rate the eventlog stays byte-identical to bare
-			// and the span stream is invariant across workers and pooling.
+			// and the span stream is invariant across pooling.
 			if seed != 7 || sites != 6 {
 				continue
 			}
 			for _, rate := range []float64{0, 0.1, 1.0} {
 				ref := [][]byte(nil)
-				for _, workers := range []int{0, 4} {
-					for _, disablePooling := range []bool{false, true} {
-						log, spans, _ := runObs(workers, disablePooling, rate)
-						if !bytes.Equal(bareLog, log) {
-							t.Errorf("rate=%v workers=%d pooled=%v: occurrence log differs from bare",
-								rate, workers, !disablePooling)
-						}
-						ref = append(ref, spans)
+				for _, disablePooling := range []bool{false, true} {
+					log, spans, _ := runObs(disablePooling, rate)
+					if !bytes.Equal(bareLog, log) {
+						t.Errorf("rate=%v pooled=%v: occurrence log differs from bare", rate, !disablePooling)
 					}
+					ref = append(ref, spans)
 				}
-				for i := 1; i < len(ref); i++ {
-					if !bytes.Equal(ref[0], ref[i]) {
-						t.Errorf("rate=%v: sampled span stream differs across the workers×pooling matrix (variant %d: %d vs %d bytes)",
-							rate, i, len(ref[i]), len(ref[0]))
-					}
+				if !bytes.Equal(ref[0], ref[1]) {
+					t.Errorf("rate=%v: sampled span stream differs pooled (%d bytes) vs unpooled (%d bytes)",
+						rate, len(ref[0]), len(ref[1]))
 				}
 				switch rate {
 				case 0:
@@ -263,8 +247,7 @@ func TestObsSerializeMode(t *testing.T) {
 }
 
 // TestDefStats pins the per-definition latency satellite: detections are
-// attributed to their definition with event-time latency aggregates that
-// are identical across worker counts.
+// attributed to their definition with event-time latency aggregates.
 func TestDefStats(t *testing.T) {
 	o := defaultScenario()
 	o.count = 300
@@ -288,19 +271,6 @@ func TestDefStats(t *testing.T) {
 	}
 	if total != st.Detections {
 		t.Fatalf("per-definition detections sum to %d, stats say %d", total, st.Detections)
-	}
-
-	par := o
-	par.workers = 4
-	_, stPar := runScenario(t, par)
-	if len(stPar.Definitions) != len(st.Definitions) {
-		t.Fatalf("worker count changed definition stats length")
-	}
-	for i := range st.Definitions {
-		if st.Definitions[i] != stPar.Definitions[i] {
-			t.Fatalf("definition stats diverge across worker counts:\nseq: %+v\npar: %+v",
-				st.Definitions[i], stPar.Definitions[i])
-		}
 	}
 }
 

@@ -360,12 +360,6 @@ func (m ReleaseMode) slack() int64 {
 // sites, only the ones with fresh arrivals or watermark movement do any
 // work, and only they consult the frontier vector.
 //
-// The buffer form serves the release stage's parallel advance phase: each
-// worker pops its own site's heap into the site's released buffer, and
-// the crank accounts the results in site order afterwards, so heap
-// maintenance (the sift-heavy part) runs fanned out while every
-// observable side effect stays sequential.
-//
 //sentinel:hotpath
 func (r *reorderer) releaseInto(mode ReleaseMode, dst []wire.Envelope) []wire.Envelope {
 	if !r.stale || len(r.ready) == 0 {

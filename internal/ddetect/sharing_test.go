@@ -11,7 +11,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/eventlog"
 	"repro/internal/network"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -24,7 +23,6 @@ type tenantOpts struct {
 	count   int // workload events
 	defs    int
 	overlap float64
-	workers int
 	seed    int64
 	mutate  func(*Config)
 }
@@ -40,7 +38,6 @@ func runTenantScenario(t testing.TB, o tenantOpts) ([]byte, Stats, int) {
 			BaseLatency: 20, Jitter: 70,
 			DropRate: 0.05, RetransmitDelay: 150, Seed: o.seed + 101,
 		},
-		Pipeline: pipeline.Config{Workers: o.workers},
 	}
 	if o.mutate != nil {
 		o.mutate(&cfg)
@@ -100,53 +97,50 @@ func runTenantScenario(t testing.TB, o tenantOpts) ([]byte, Stats, int) {
 
 // TestSharingDeterminism is the PR-9 compiler regression: hash-consed
 // common-subexpression sharing must be invisible to detection.  Across
-// seeds × site counts × worker counts on an overlap-heavy tenant
-// workload, the occurrence log must be byte-identical with sharing on and
-// off (Config.DisableSharing is the differential mode), and the shared
-// runs must actually share — a non-empty shared-subexpression cache — or
-// the comparison would be vacuous.
+// seeds × site counts on an overlap-heavy tenant workload, the occurrence
+// log must be byte-identical with sharing on and off
+// (Config.DisableSharing is the differential mode), and the shared runs
+// must actually share — a non-empty shared-subexpression cache — or the
+// comparison would be vacuous.
 func TestSharingDeterminism(t *testing.T) {
 	for _, seed := range []int64{5, 31} {
 		for _, sites := range []int{3, 6} {
-			for _, workers := range []int{0, 4} {
-				o := tenantOpts{
-					sites: sites, count: 250, seed: seed, workers: workers,
-					defs: 96, overlap: 0.7,
-				}
-				baseLog, baseStats, shared := runTenantScenario(t, o)
-				if baseStats.Detections == 0 {
-					t.Fatalf("seed=%d sites=%d workers=%d: no detections; comparison is vacuous",
-						seed, sites, workers)
-				}
-				if shared == 0 {
-					t.Fatalf("seed=%d sites=%d workers=%d: overlap-heavy workload built no shared subexpressions; comparison is vacuous",
-						seed, sites, workers)
-				}
-				uo := o
-				uo.mutate = func(c *Config) { c.DisableSharing = true }
-				log, st, unshared := runTenantScenario(t, uo)
-				if unshared != 0 {
-					t.Fatalf("seed=%d sites=%d workers=%d: DisableSharing still built %d shared subexpressions",
-						seed, sites, workers, unshared)
-				}
-				if !bytes.Equal(baseLog, log) {
-					t.Errorf("seed=%d sites=%d workers=%d: occurrence log (%d bytes) differs with sharing off (%d bytes)",
-						seed, sites, workers, len(log), len(baseLog))
-				}
-				if st.Detections != baseStats.Detections || st.Released != baseStats.Released {
-					t.Errorf("seed=%d sites=%d workers=%d: det=%d rel=%d unshared, want det=%d rel=%d",
-						seed, sites, workers, st.Detections, st.Released,
-						baseStats.Detections, baseStats.Released)
-				}
+			o := tenantOpts{
+				sites: sites, count: 250, seed: seed,
+				defs: 96, overlap: 0.7,
+			}
+			baseLog, baseStats, shared := runTenantScenario(t, o)
+			if baseStats.Detections == 0 {
+				t.Fatalf("seed=%d sites=%d: no detections; comparison is vacuous", seed, sites)
+			}
+			if shared == 0 {
+				t.Fatalf("seed=%d sites=%d: overlap-heavy workload built no shared subexpressions; comparison is vacuous",
+					seed, sites)
+			}
+			uo := o
+			uo.mutate = func(c *Config) { c.DisableSharing = true }
+			log, st, unshared := runTenantScenario(t, uo)
+			if unshared != 0 {
+				t.Fatalf("seed=%d sites=%d: DisableSharing still built %d shared subexpressions",
+					seed, sites, unshared)
+			}
+			if !bytes.Equal(baseLog, log) {
+				t.Errorf("seed=%d sites=%d: occurrence log (%d bytes) differs with sharing off (%d bytes)",
+					seed, sites, len(log), len(baseLog))
+			}
+			if st.Detections != baseStats.Detections || st.Released != baseStats.Released {
+				t.Errorf("seed=%d sites=%d: det=%d rel=%d unshared, want det=%d rel=%d",
+					seed, sites, st.Detections, st.Released,
+					baseStats.Detections, baseStats.Released)
 			}
 		}
 	}
 }
 
-// TestManyDefinitionsDeterminism runs the pipeline-determinism matrix
-// once at the 1000-definition scale the PR-9 compiler targets: sharing
-// on/off × workers 0/4 must all produce the byte-identical occurrence
-// log.  One seed — the point is the scale, not the sweep.
+// TestManyDefinitionsDeterminism runs the sharing differential once at the
+// 1000-definition scale the PR-9 compiler targets: sharing on and off must
+// produce the byte-identical occurrence log.  One seed — the point is the
+// scale, not the sweep.
 func TestManyDefinitionsDeterminism(t *testing.T) {
 	base := tenantOpts{sites: 4, count: 300, seed: 7, defs: 1000, overlap: 0.5}
 	refLog, refStats, shared := runTenantScenario(t, base)
@@ -156,25 +150,13 @@ func TestManyDefinitionsDeterminism(t *testing.T) {
 	if shared == 0 {
 		t.Fatal("1000-definition scenario built no shared subexpressions")
 	}
-	for _, workers := range []int{0, 4} {
-		for _, disable := range []bool{false, true} {
-			if workers == 0 && !disable {
-				continue // the reference arm
-			}
-			o := base
-			o.workers = workers
-			if disable {
-				o.mutate = func(c *Config) { c.DisableSharing = true }
-			}
-			log, st, _ := runTenantScenario(t, o)
-			if !bytes.Equal(refLog, log) {
-				t.Errorf("workers=%d sharing-off=%v: occurrence log (%d bytes) differs from reference (%d bytes)",
-					workers, disable, len(log), len(refLog))
-			}
-			if st.Detections != refStats.Detections {
-				t.Errorf("workers=%d sharing-off=%v: %d detections, want %d",
-					workers, disable, st.Detections, refStats.Detections)
-			}
-		}
+	o := base
+	o.mutate = func(c *Config) { c.DisableSharing = true }
+	log, st, _ := runTenantScenario(t, o)
+	if !bytes.Equal(refLog, log) {
+		t.Errorf("sharing off: occurrence log (%d bytes) differs from reference (%d bytes)", len(log), len(refLog))
+	}
+	if st.Detections != refStats.Detections {
+		t.Errorf("sharing off: %d detections, want %d", st.Detections, refStats.Detections)
 	}
 }

@@ -20,18 +20,16 @@ import (
 //	            order in each site's reorderer
 //	release   — watermark release of stable events into per-site
 //	            detect inboxes
-//	detect    — running every site's detector graph over its inbox,
-//	            optionally in parallel across sites (pipeline.Pool)
+//	detect    — running every site's detector graph over its inbox
 //	publish   — subscriber fan-out, hierarchical forwarding and stats,
 //	            in deterministic site order
 //
-// Only the detect stage runs off the crank goroutine, and it confines
-// every write to per-site state (the detector, the site's inbox and
-// detected buffers).  Everything that touches shared state — the bus,
-// the RNG behind it, the Stats counters, user handlers — happens in the
-// single-threaded stages, in site-ID order, so the sequence of
-// side-effects is identical whatever the worker count: the determinism
-// argument for the per-tick barrier.
+// Every stage runs on the crank goroutine and walks the sites in ID
+// order, so the sequence of side effects — bus sends and the seeded RNG
+// behind them, the Stats counters, spans, user handlers — is a function
+// of the stamped history alone.  Detect only buffers its detections;
+// publish completes them once every site has detected (see
+// publishStage).
 
 // ingestStage drives the raise path and the heartbeat cadence.  Raises
 // happen between ticks (the application calls Site.Raise); the stage's
@@ -81,7 +79,6 @@ func (st *ingestStage) Name() string { return "ingest" }
 // first, heartbeats second, exactly the per-link send order of the
 // unbatched transport.
 //
-//lint:allow stagefx — ingest runs single-threaded on the crank goroutine before the detect barrier; its heartbeat counters and coalescer flush execute in deterministic site/link order regardless of worker count
 //sentinel:hotpath
 func (st *ingestStage) Tick(now clock.Microticks) int {
 	sys := st.sys
@@ -121,8 +118,6 @@ func (st *ingestStage) Tick(now clock.Microticks) int {
 // site's own stream.  With Serialize on, encodability is checked here,
 // eagerly — the encoding itself happens at the deferred flush, and a
 // failure there would be detached from the raise that caused it.
-//
-//lint:allow stagefx — raise is called by the application between ticks, never from a detect worker; its coalescer adds and counters are serialized on the caller's goroutine while no stage is running
 func (st *ingestStage) raise(s *Site, typ string, class event.Class, params event.Params) (*event.Occurrence, error) {
 	sys := st.sys
 	sys.seal()
@@ -338,52 +333,24 @@ func (sys *System) acceptEvent(occ *event.Occurrence, dst *Site, from core.Site,
 // releaseStage pops every watermark-stable event, in each site's
 // deterministic (global, site, local, arrival) order, into the site's
 // detect inbox, accounting raise-to-release latency.
-//
-// The stage runs in two phases.  The advance phase fans the per-site
-// reorderer stepping — the stale-flag check, the frontier minimum, the
-// sift-heavy heap pops — across the worker pool; each worker appends its
-// own site's stable envelopes to that site's released buffer, touching
-// nothing shared.  The accounting phase then walks the sites in ID order
-// on the crank goroutine and applies every observable side effect — the
-// Stats counters, the latency histogram, the trace spans, the inbox
-// append — exactly as the sequential loop did, so the history is
-// byte-identical (spans included) for every worker count.
 type releaseStage struct {
 	sys *System
-	// advance is st.advanceSite bound once: a method value built per Tick
-	// would escape through pipeline.Pool.Run and cost a malloc per Step.
-	advance func(i int)
-}
-
-func newReleaseStage(sys *System) *releaseStage {
-	st := &releaseStage{sys: sys}
-	st.advance = st.advanceSite
-	return st
+	// stable is the scratch run one site's reorderer pops into; it is
+	// drained into that site's inbox before the next site is advanced.
+	stable []wire.Envelope
 }
 
 func (st *releaseStage) Name() string { return "release" }
 
-// advanceSite is the advance phase for site i: it pops what the site's
-// watermark has made stable into the site's released buffer.
-func (st *releaseStage) advanceSite(i int) {
-	s := st.sys.sites[i]
-	s.released = s.re.releaseInto(st.sys.cfg.Release, s.released[:0])
-}
-
 // Tick releases watermark-stable events into the detect inboxes.
 //
-//lint:allow stagefx — the accounting loop below runs single-threaded on the crank goroutine; the fanned-out advance phase touches only per-site reorderer state and per-site buffers
 //sentinel:hotpath
 func (st *releaseStage) Tick(now clock.Microticks) int {
 	sys := st.sys
-	sites := sys.sites
-	sys.pool.Run(len(sites), st.advance)
 	n := 0
-	for _, s := range sites {
-		if len(s.released) == 0 {
-			continue
-		}
-		for _, env := range s.released {
+	for _, s := range sys.sites {
+		st.stable = s.re.releaseInto(sys.cfg.Release, st.stable[:0])
+		for _, env := range st.stable {
 			sys.stats.Released++
 			lat := now - env.RaisedAt
 			sys.stats.LatencySum += lat
@@ -398,83 +365,55 @@ func (st *releaseStage) Tick(now clock.Microticks) int {
 			}
 			s.inbox = append(s.inbox, env.Occ)
 		}
-		n += len(s.released)
-		clear(s.released)
-		s.released = s.released[:0]
+		n += len(st.stable)
+		clear(st.stable)
 	}
 	return n
 }
 
 // detectStage runs every site's detector over its released inbox and
-// fires due detector timers — in parallel across sites when the pool has
-// workers.  Workers confine their writes to the site they own: the
-// detector graph, the inbox they drain and the detected buffer the
-// System's per-definition recorder appends to.  Detections are NOT
-// published here; they are buffered per site and handed to the publish
-// stage, so user handlers, stats and bus traffic stay on the crank
-// goroutine and in deterministic site order.
+// fires due detector timers.  Detections are NOT published here; the
+// per-definition recorder buffers them per site for the publish stage.
 type detectStage struct {
 	sys *System
-	// active is the reused shard list: the sites with a non-empty inbox
-	// or an armed detector timer this tick.  For an idle site both
-	// PublishBatch (empty batch) and AdvanceTo (no timers) are no-ops, so
-	// skipping it changes nothing except the work: at thousands of sites
-	// the stage touches only the handful that heard something.  Built by
-	// iterating sys.sites in ID order, so the shard keeps the
-	// deterministic site order the barrier argument relies on.
-	active []*Site
-	// now is the current tick's simulated time, for detectSite; detect is
-	// st.detectSite bound once (see releaseStage.advance).
-	now    clock.Microticks
-	detect func(i int)
-}
-
-func newDetectStage(sys *System) *detectStage {
-	st := &detectStage{sys: sys}
-	st.detect = st.detectSite
-	return st
 }
 
 func (st *detectStage) Name() string { return "detect" }
 
-// detectSite runs active site i's detector over its inbox and fires its
-// due timers.  It runs on a worker when the pool has any, and writes
-// only state the site owns.
-func (st *detectStage) detectSite(i int) {
-	s := st.active[i]
-	s.det.PublishBatch(s.inbox)
-	// Dispatch done: drop the delivery references taken at coal.add /
-	// selfDeliver.  Whatever the graph buffered holds its own.
-	for j, o := range s.inbox {
-		s.inbox[j] = nil
-		o.Release()
-	}
-	s.inbox = s.inbox[:0]
-	s.det.AdvanceTo(st.now)
-}
-
 //sentinel:hotpath
 func (st *detectStage) Tick(now clock.Microticks) int {
-	sys := st.sys
 	n := 0
-	active := st.active[:0]
-	for _, s := range sys.sites {
-		if len(s.inbox) > 0 || s.det.PendingTimers() > 0 {
-			active = append(active, s)
-			n += len(s.inbox)
+	for _, s := range st.sys.sites {
+		// For an idle site both PublishBatch (empty batch) and AdvanceTo
+		// (no timers) are no-ops: at thousands of sites the stage touches
+		// only the handful that heard something.
+		if len(s.inbox) == 0 && s.det.PendingTimers() == 0 {
+			continue
 		}
+		n += len(s.inbox)
+		s.det.PublishBatch(s.inbox)
+		// Dispatch done: drop the delivery references taken at coal.add /
+		// selfDeliver.  Whatever the graph buffered holds its own.
+		for j, o := range s.inbox {
+			s.inbox[j] = nil
+			o.Release()
+		}
+		s.inbox = s.inbox[:0]
+		s.det.AdvanceTo(now)
 	}
-	st.active, st.now = active, now
-	sys.pool.Run(len(active), st.detect)
 	return n
 }
 
-// publishStage completes each buffered detection on the crank goroutine,
-// iterating sites in ID order: count it, fan it out to System.Subscribe
-// handlers, and forward it to remote sites whose definitions reference it
-// by name (hierarchical mode).  Running after the detect barrier keeps
-// the bus send order — and hence the seeded jitter/loss schedule —
-// independent of the worker count.
+// publishStage completes each buffered detection, iterating sites in ID
+// order: count it, fan it out to System.Subscribe handlers, and forward it
+// to remote sites whose definitions reference it by name (hierarchical
+// mode).  It is its own stage, after every site has detected, for two
+// reasons.  User handlers never run re-entrantly inside a detector's batch
+// dispatch: the occurrence they receive is a borrow that the recorder's
+// reference keeps alive until the handler returns (System.Subscribe).  And
+// all of a tick's forwards, with anything a handler raised, leave in one
+// coalescer flush — one batch per link, queued in site order, which fixes
+// the bus send order and hence the seeded jitter/loss schedule.
 type publishStage struct {
 	sys *System
 }
@@ -486,10 +425,9 @@ func (st *publishStage) Tick(now clock.Microticks) int {
 	sys := st.sys
 	n := 0
 	for _, s := range sys.sites {
-		// The full-site scan stays (an active list here would change when
-		// handler-injected detections at already-visited sites drain,
-		// breaking byte-parity with the sequential history); the common
-		// idle site costs one length check.
+		// The full-site scan stays (an active list built before the loop
+		// would change when handler-injected detections at already-visited
+		// sites drain); the common idle site costs one length check.
 		if len(s.detected) == 0 {
 			continue
 		}
@@ -502,8 +440,7 @@ func (st *publishStage) Tick(now clock.Microticks) int {
 			// Detection latency in event time: how far past the newest
 			// global granule in its Max-set timestamp this detection
 			// published.  A pure function of simulated time and the
-			// composite timestamp, so identical across worker counts and
-			// transport modes.
+			// composite timestamp, so identical across transport modes.
 			lat := now - clock.Microticks(o.Stamp.MaxGlobal())*sys.cfg.Clock.GlobalGranularity
 			if lat < 0 {
 				lat = 0

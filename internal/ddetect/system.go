@@ -70,22 +70,19 @@ type Config struct {
 	// ErrSimultaneous instead of producing stamps the assumptions forbid
 	// (advance the simulated clock between raises).
 	EnforceSimultaneity bool
-	// Pipeline configures the staged execution: Workers sets the
-	// detect-stage worker count (0 = everything on the crank goroutine,
-	// the sequential legacy behavior; results are identical either way)
-	// and OnStage is an optional per-stage instrumentation hook.  See
-	// internal/pipeline.
+	// Pipeline configures the staged execution: OnStage is an optional
+	// per-stage instrumentation hook.  See internal/pipeline.
 	Pipeline pipeline.Config
 	// Trace, when non-nil, receives a span event at every lineage point
 	// an occurrence crosses — raise, send, recv, release, detect,
 	// publish — plus a per-stage note each tick.  Tracing is a pure
-	// observer: span IDs are assigned in crank-order (deterministic for
-	// every worker count), all timestamps are simulated microticks, and
-	// the occurrence stream is byte-identical with tracing on or off
-	// (TestObsDeterminism).  Tracing composes with pooling — span
-	// identity is keyed by (pointer, pool generation), mirroring the
-	// pool's own use-after-put check, so a recycled slot starts a fresh
-	// span — and the span stream is identical pooled or unpooled.  In
+	// observer: span IDs are assigned in crank order, all timestamps are
+	// simulated microticks, and the occurrence stream is byte-identical
+	// with tracing on or off (TestObsDeterminism).  Tracing composes with
+	// pooling — span identity is keyed by (pointer, pool generation),
+	// mirroring the pool's own use-after-put check, so a recycled slot
+	// starts a fresh span — and the span stream is identical pooled or
+	// unpooled.  In
 	// Serialize mode, occurrences decoded on the receiving side are
 	// distinct objects and get fresh span IDs; the send/recv hop is
 	// still visible via site+peer+type.  A tracing run retains an ID per
@@ -118,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = c.Clock.GlobalGranularity
-	}
-	if c.Pipeline.Workers < 0 {
-		c.Pipeline.Workers = 0
 	}
 	return c
 }
@@ -168,7 +162,7 @@ func (s Stats) MeanLatency() float64 {
 // the newest global granule in the detection's Max-set timestamp — i.e.
 // how far behind its own constituents each detection ran.  Being a pure
 // function of simulated time and the composite timestamp, it is
-// identical across worker counts and transport modes.
+// identical across transport modes.
 type DefStats struct {
 	// Name is the definition name.
 	Name string
@@ -209,7 +203,7 @@ type defRecord struct {
 // stage boundary it crossed (event.StageMark) and the simulated instant
 // it did; each subsequent crossing attributes the delta to one leg.
 // Detect and publish share a tick instant (detections buffered by the
-// detect barrier complete in the same tick's publish stage), so the
+// detect stage complete in the same tick's publish stage), so the
 // raise→send→recv→release→detect→publish chain collapses its final two
 // hops into release→publish.
 type StageLeg uint8
@@ -282,11 +276,8 @@ func (l LegStats) Mean() float64 {
 // Each tick runs an explicit five-stage pipeline — ingest, transport,
 // release, detect, publish (see stages.go and internal/pipeline).  The
 // public entry points are not safe for concurrent use: one goroutine
-// turns the crank.  With Config.Pipeline.Workers > 1 the detect stage
-// fans out across sites on a worker pool that joins at a per-tick
-// barrier; all cross-site effects are buffered and applied in site-ID
-// order afterwards, so the occurrence stream is bit-for-bit identical to
-// the sequential mode.
+// turns the crank, and every stage runs on it (internal/live funnels
+// concurrent producers onto that goroutine).
 type System struct {
 	cfg   Config
 	clk   *clock.System
@@ -350,13 +341,11 @@ type System struct {
 	legs  [numLegs]LegStats
 	hLegs [numLegs]*obs.Histogram
 
-	// pipe composes the five stage drivers; pool is the worker pool the
-	// release and detect stages fan out on; ingest is kept aside because
+	// pipe composes the five stage drivers; ingest is kept aside because
 	// Site.Raise drives it between ticks; coal is the per-link transport
 	// coalescer the ingest and publish stages queue into and flush (see
 	// coalesce.go).
 	pipe   *pipeline.Driver
-	pool   *pipeline.Pool
 	ingest *ingestStage
 	coal   *linkCoalescer
 
@@ -366,9 +355,7 @@ type System struct {
 	// nil only when pooling is off (Config.DisablePooling); every
 	// Retain/Release in the engine is then a no-op.  Tracing does not
 	// suspend it: span identity is generation-stamped, so recycling is
-	// invisible to the tracer.  seal picks its form from the worker
-	// count: owner-local at Workers ≤ 1, where the crank goroutine is the
-	// only one that retains and releases, concurrent above that.
+	// invisible to the tracer.  The pool belongs to the crank goroutine.
 	opool *event.Pool
 
 	// inFlightEvents counts event envelopes on the bus (heartbeats are
@@ -393,7 +380,6 @@ func NewSystem(cfg Config) (*System, error) {
 		reg:     event.NewRegistry(),
 		needers: make(map[string][]core.SiteID),
 		nextHB:  cfg.HeartbeatEvery,
-		pool:    pipeline.NewPool(cfg.Pipeline.Workers),
 		tr:      cfg.Trace,
 		smp:     cfg.Sample,
 		defs:    make(map[string]*defRecord),
@@ -421,8 +407,8 @@ func NewSystem(cfg Config) (*System, error) {
 	sys.pipe = pipeline.NewDriver(
 		sys.ingest,
 		&transportStage{sys: sys},
-		newReleaseStage(sys),
-		newDetectStage(sys),
+		&releaseStage{sys: sys},
+		&detectStage{sys: sys},
 		&publishStage{sys: sys},
 	)
 	sys.pipe.Hook(cfg.Pipeline.OnStage)
@@ -465,9 +451,6 @@ func (sys *System) Clock() *clock.System { return sys.clk }
 
 // Now returns the current reference time.
 func (sys *System) Now() clock.Microticks { return sys.clk.Now() }
-
-// Workers returns the detect-stage worker count (0 = sequential).
-func (sys *System) Workers() int { return sys.pool.Workers() }
 
 // Stats returns a snapshot of the counters, including per-stage pipeline
 // stats and per-definition detection stats (sorted by name).
@@ -675,16 +658,10 @@ type Site struct {
 	crashed bool
 
 	// Inter-stage buffers, each owned by exactly one stage at a time:
-	// released carries the envelopes this site's reorderer popped during
-	// the parallel advance phase of the release stage to its sequential
-	// accounting phase (see releaseStage.Tick); inbox carries
-	// watermark-released occurrences from the release stage to the
-	// detect stage; detected carries this site's composite detections
-	// (appended by the per-definition recorder, in detection order) from
-	// the detect stage to the publish stage.  In parallel mode the
-	// worker that owns this site is the only goroutine touching any of
-	// them.
-	released []wire.Envelope
+	// inbox carries watermark-released occurrences from the release stage
+	// to the detect stage; detected carries this site's composite
+	// detections (appended by the per-definition recorder, in detection
+	// order) from the detect stage to the publish stage.
 	inbox    []*event.Occurrence
 	detected []*event.Occurrence
 }
@@ -853,10 +830,8 @@ func (sys *System) DefineAt(host core.SiteID, name, expression string, ctx detec
 	}
 	// Recorder: buffer every detection of this definition on its host
 	// site, in detection order.  The publish stage completes them after
-	// the detect barrier — counting, System.Subscribe fan-out and
-	// hierarchical forwarding to the sites recorded in needers.  In
-	// parallel mode this closure runs on the worker that owns s, which
-	// is the only goroutine appending to s.detected.
+	// the detect stage — counting, System.Subscribe fan-out and
+	// hierarchical forwarding to the sites recorded in needers.
 	s.det.Subscribe(name, func(o *event.Occurrence) {
 		o.Retain() // the publish stage owns this reference and releases it
 		s.detected = append(s.detected, o)
@@ -888,20 +863,18 @@ func (sys *System) hostOf(name string) *Site {
 }
 
 // Subscribe attaches a handler to a definition.  Handlers run on the
-// crank goroutine during the publish stage, after the detect barrier, in
-// deterministic (site, detection) order — never concurrently, whatever
-// the worker count.
+// crank goroutine during the publish stage, after every site has
+// detected, in deterministic (site, detection) order.
 //
 // The occurrence passed to a handler is a borrow: it (and its
 // constituent tree) is valid for the duration of the call, after which
 // the publish stage may recycle it through the occurrence pool.  A
 // handler that stores the pointer past its return must call Retain (and
 // Release when done); handlers that only read fields, serialize, or
-// count need nothing.  At Workers ≤ 1 the occurrence pool is owner-local,
-// so that Retain and Release must themselves run on the goroutine driving
-// the System — inside a handler, between Steps, or through
-// live.Runtime.Do — the rule every other System method already has; only
-// at Workers > 1 are they safe from any goroutine (DESIGN.md §2h).
+// count need nothing.  The occurrence pool belongs to the goroutine
+// driving the System, so that Retain and Release must themselves run on
+// it — inside a handler, between Steps, or through live.Runtime.Do — the
+// rule every other System method already has (DESIGN.md §2h).
 func (sys *System) Subscribe(name string, h detector.Handler) error {
 	if sys.hostOf(name) == nil {
 		return fmt.Errorf("ddetect: no site defines %q", name)
@@ -978,11 +951,7 @@ func (sys *System) seal() {
 	// keyed by (pointer, generation), so a recycled slot cannot alias a
 	// previous tenant's span.
 	if !sys.cfg.DisablePooling {
-		if sys.pool.Workers() > 1 {
-			sys.opool = event.NewSharedPool(sys.roster)
-		} else {
-			sys.opool = event.NewPool(sys.roster)
-		}
+		sys.opool = event.NewPool(sys.roster)
 		for _, s := range sys.sites {
 			s.det.UsePool(sys.opool)
 		}
@@ -1004,8 +973,8 @@ func (s *Site) stampAt(ref clock.Microticks) core.Stamp {
 
 // Detector exposes the site's detector (for advanced wiring in examples
 // and tests).  Handlers subscribed directly here — rather than through
-// System.Subscribe — run inside the detect stage, on a worker goroutine
-// when Config.Pipeline.Workers > 1.
+// System.Subscribe — run inside the detect stage, ahead of the tick's
+// publish stage and outside its accounting.
 func (s *Site) Detector() *detector.Detector { return s.det }
 
 // Raise raises a primitive event at this site, stamped by its clock, and
@@ -1059,7 +1028,7 @@ func (s *Site) selfDeliver(env wire.Envelope) {
 // Step advances simulated time by dt and runs one pipeline tick over
 // everything that became due: heartbeats, message deliveries, watermark
 // releases, detection and publication.  Processing is deterministic
-// (stages in order, sites in ID order) for every worker count.
+// (stages in order, sites in ID order).
 func (sys *System) Step(dt clock.Microticks) {
 	sys.seal()
 	now := sys.clk.Advance(dt)

@@ -144,16 +144,6 @@ func TestMustDefinePanics(t *testing.T) {
 	d.MustDefine("X", "A ;;", Recent)
 }
 
-func TestLockedPublishSmoke(t *testing.T) {
-	d, _ := newTestDetector(t)
-	c := &collector{}
-	d.MustDefine("X", "A ; B", Recent)
-	d.Subscribe("X", c.handler)
-	d.LockedPublish(occAt("s1", 10, "A"))
-	d.LockedPublish(occAt("s1", 20, "B"))
-	c.assertSigs(t, "X[A@10 B@20]")
-}
-
 func TestSiteAndRegistryAccessors(t *testing.T) {
 	d, _ := newTestDetector(t)
 	if d.Site() != "s1" {

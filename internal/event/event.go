@@ -206,8 +206,8 @@ type Occurrence struct {
 	// Pool lifecycle state (see pool.go).  pool is nil for ordinary
 	// heap-allocated occurrences, for which Retain/Release are no-ops.
 	pool *Pool
-	// refs is the reference count: plain arithmetic under an owner-local
-	// pool, sync/atomic functions under a shared one (Pool.shared).
+	// refs is the reference count, touched only by the goroutine that
+	// owns the pool (see pool.go).
 	refs  int32
 	gen   uint32
 	freed bool
@@ -344,10 +344,9 @@ var ErrUnknownType = errors.New("event: unknown event type")
 // events be pre-defined before use in expressions; the registry enforces
 // that and records each type's class.  It is safe for concurrent use.
 type Registry struct {
-	// mu is load-bearing: one registry is shared by every site's
-	// detector, and with the parallel detect stage (internal/ddetect,
-	// Config.Pipeline.Workers > 1) lookups can race with declarations
-	// made by a detector defining a composite type mid-detection.  Reads
+	// mu backs the concurrent-use contract above: one registry is shared
+	// by every site's detector and handed out by System.Registry, so a
+	// lookup on one goroutine can meet a Declare on another.  Reads
 	// vastly outnumber writes, hence the RWMutex.
 	mu    sync.RWMutex
 	types map[string]Type

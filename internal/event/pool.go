@@ -25,30 +25,24 @@
 //     reference-carrying field is cleared before Put) but the map itself
 //     belongs to whoever raised the event.
 //
-// Threading (DESIGN.md §2h): a pool has two forms.  The owner-local one,
-// which NewPool returns, is for the usual case of one goroutine owning
-// every occurrence the pool hands out — a ddetect.System at Workers ≤ 1,
-// whose Retain/Release all run on the goroutine driving it.  It counts
-// references and its own statistics with plain integers and keeps a small
-// fixed LIFO array of free occurrences in front of the sync.Pool, so the
-// steady-state cycle executes no atomic instruction at all.  The
-// concurrent one, NewSharedPool, is the form for detect workers: workers
-// of different sites retain and release the same forwarded occurrence at
-// once, so its counts are atomic and every occurrence goes straight to
-// the sync.Pool.  Using an owner-local pool from two goroutines is a data
-// race (TestPoolConcurrentRetainRelease builds the concurrent form for
-// that reason).
+// Threading (DESIGN.md §2h): a pool belongs to one goroutine at a time.
+// Every call on it and on the occurrences it hands out — Retain and
+// Release included — comes from the goroutine that owns it; for a
+// ddetect.System's pool that is the goroutine driving the System.  That
+// is what lets it count references and its own statistics with plain
+// integers and keep a small fixed LIFO array of free occurrences in front
+// of the sync.Pool, so the steady-state cycle executes no atomic
+// instruction at all.
 //
-// Safety rails, identical in both forms: a generation counter increments
-// at every recycle so use-after-put is observable (pool_test.go), and an
-// extra Release on a recycled occurrence is detected by the reference
-// count going negative — counted as an averted double put, or a panic in
-// Strict mode (the mode the race tests run under).
+// Safety rails: a generation counter increments at every recycle so
+// use-after-put is observable (pool_test.go), and an extra Release on a
+// recycled occurrence is detected by the reference count going negative —
+// counted as an averted double put, or a panic in Strict mode (the mode
+// the race tests run under).
 package event
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -69,7 +63,7 @@ type PoolStats struct {
 	DoublePuts uint64
 }
 
-// localFree is the size of an owner-local pool's front array.  It is a
+// localFree is the size of the pool's front array.  It is a
 // trade against retained heap: what sits in the array is memory the
 // program holds, where a sync.Pool's contents are gone after two
 // collections.  32 covers two thirds of the 48 occurrences the
@@ -78,9 +72,8 @@ type PoolStats struct {
 const localFree = 32
 
 // Pool recycles Occurrence objects, their stamp component storage and
-// their constituent lists.  The pool NewPool returns belongs to one
-// goroutine; only the one NewSharedPool returns is safe for concurrent
-// use (see the package comment).
+// their constituent lists.  It belongs to one goroutine at a time (see
+// the package comment).
 type Pool struct {
 	p sync.Pool
 	// roster, when non-nil, lets pooled constructors intern stamp
@@ -90,42 +83,20 @@ type Pool struct {
 	// Strict makes a detected double put panic instead of being counted
 	// and averted — the setting for tests hunting lifecycle bugs.
 	Strict bool
-	// shared selects the concurrent form.  It is fixed at construction and
-	// decides, for the counters below and for Occurrence.refs, between a
-	// sync/atomic operation and a plain one — which is why those fields
-	// are plain integers and not atomic.Uint64/atomic.Int32.
-	shared bool
 
 	gets, puts, misses, doublePuts uint64
 
-	// free[:nfree] is the owner-local front array, most recently freed
-	// last; always empty in the concurrent form.
+	// free[:nfree] is the front array, most recently freed last.
 	free  [localFree]*Occurrence
 	nfree int
 }
 
-// NewPool returns an owner-local pool whose constructors intern stamp
-// sites against roster (which may be nil for a string-only pool).  Every
-// call on it and on the occurrences it hands out — Retain and Release
-// included — must come from one goroutine at a time.
+// NewPool returns a pool whose constructors intern stamp sites against
+// roster (which may be nil for a string-only pool).  Every call on it and
+// on the occurrences it hands out — Retain and Release included — must
+// come from one goroutine at a time.
 func NewPool(roster *core.Roster) *Pool {
 	return &Pool{roster: roster}
-}
-
-// NewSharedPool is NewPool in the concurrent form: goroutines may get,
-// retain and release at once, as the detect workers of a ddetect.System
-// with Workers > 1 do.
-func NewSharedPool(roster *core.Roster) *Pool {
-	return &Pool{roster: roster, shared: true}
-}
-
-// count adds one to a pool counter.
-func (p *Pool) count(c *uint64) {
-	if p.shared {
-		atomic.AddUint64(c, 1)
-	} else {
-		*c++
-	}
 }
 
 // Stats returns a snapshot of the pool counters.
@@ -133,14 +104,7 @@ func (p *Pool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{}
 	}
-	// Atomic loads serve both forms: on an owner-local pool the caller is
-	// the owner, for whom they are plain reads.
-	return PoolStats{
-		Gets:       atomic.LoadUint64(&p.gets),
-		Puts:       atomic.LoadUint64(&p.puts),
-		Misses:     atomic.LoadUint64(&p.misses),
-		DoublePuts: atomic.LoadUint64(&p.doublePuts),
-	}
+	return PoolStats{Gets: p.gets, Puts: p.puts, Misses: p.misses, DoublePuts: p.doublePuts}
 }
 
 // get pops a recycled occurrence — from the front array, then from the
@@ -149,22 +113,18 @@ func (p *Pool) Stats() PoolStats {
 //
 //lint:allow hotalloc — the pool-miss fallback is the one allocation the pool exists to amortize; steady state never takes it
 func (p *Pool) get() *Occurrence {
-	p.count(&p.gets)
+	p.gets++
 	var o *Occurrence
 	if n := p.nfree - 1; n >= 0 {
 		o = p.free[n]
 		p.free[n] = nil
 		p.nfree = n
 	} else if o, _ = p.p.Get().(*Occurrence); o == nil {
-		p.count(&p.misses)
+		p.misses++
 		o = &Occurrence{pool: p}
 	}
 	o.freed = false
-	if p.shared {
-		atomic.StoreInt32(&o.refs, 1)
-	} else {
-		o.refs = 1
-	}
+	o.refs = 1
 	return o
 }
 
@@ -258,11 +218,7 @@ func (p *Pool) GetComposite(typ string, site core.SiteID, cs []*Occurrence) *Occ
 //sentinel:hotpath
 func (o *Occurrence) Retain() *Occurrence {
 	if o != nil && o.pool != nil {
-		if o.pool.shared {
-			atomic.AddInt32(&o.refs, 1)
-		} else {
-			o.refs++
-		}
+		o.refs++
 	}
 	return o
 }
@@ -276,21 +232,15 @@ func (o *Occurrence) Release() {
 		return
 	}
 	p := o.pool
-	var n int32
-	if p.shared {
-		n = atomic.AddInt32(&o.refs, -1)
-	} else {
-		o.refs--
-		n = o.refs
-	}
-	if n == 0 {
+	o.refs--
+	if o.refs == 0 {
 		p.put(o)
-	} else if n < 0 {
+	} else if o.refs < 0 {
 		// A release after the recycling release: the object may already
 		// be in (or out of!) the pool.  Undo, count, and in Strict mode
 		// fail loudly.
 		o.Retain()
-		p.count(&p.doublePuts)
+		p.doublePuts++
 		if p.Strict {
 			panic("event: Release of an already-recycled occurrence (double put)")
 		}
@@ -306,7 +256,7 @@ func (o *Occurrence) Pooled() bool { return o != nil && o.pool != nil }
 func (o *Occurrence) Gen() uint32 { return o.gen }
 
 // Refs returns the current reference count (diagnostic).
-func (o *Occurrence) Refs() int32 { return atomic.LoadInt32(&o.refs) }
+func (o *Occurrence) Refs() int32 { return o.refs }
 
 // put recycles o: release the constituents, clear every reference-carrying
 // field (Params is caller-owned and only dropped — see the package
@@ -319,7 +269,7 @@ func (p *Pool) put(o *Occurrence) {
 	if o.freed {
 		// Unreachable through Release (the refcount goes negative first)
 		// but kept as the last line of defense for direct misuse.
-		p.count(&p.doublePuts)
+		p.doublePuts++
 		if p.Strict {
 			panic("event: double put of a recycled occurrence")
 		}
@@ -327,7 +277,7 @@ func (p *Pool) put(o *Occurrence) {
 	}
 	o.freed = true
 	o.gen++
-	p.count(&p.puts)
+	p.puts++
 	cs := o.Constituents
 	for i, c := range cs {
 		cs[i] = nil
@@ -351,7 +301,7 @@ func (p *Pool) put(o *Occurrence) {
 	o.sbuf2 = o.sbuf2[:0]
 	o.ibuf = o.ibuf[:0]
 	o.ibuf2 = o.ibuf2[:0]
-	if !p.shared && p.nfree < len(p.free) {
+	if p.nfree < len(p.free) {
 		p.free[p.nfree] = o
 		p.nfree++
 		return

@@ -2,7 +2,6 @@ package event
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -148,40 +147,6 @@ func TestPoolUseAfterPutDetection(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentRetainRelease hammers one shared occurrence from many
-// goroutines under -race: the refcount must neither recycle early nor
-// leak the final reference.
-//
-// It builds the concurrent form: the same hammering is a data race on the
-// owner-local pool NewPool returns, as it should be.
-func TestPoolConcurrentRetainRelease(t *testing.T) {
-	r := testRoster()
-	p := NewSharedPool(r)
-	p.Strict = true
-	const workers = 8
-	const rounds = 2000
-	o := p.GetPrimitive("A", Explicit, stampAt("a", 1, 10), r.MustSite("a"), nil)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				o.Retain()
-				o.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if o.Refs() != 1 {
-		t.Fatalf("refcount drifted under concurrency: %d", o.Refs())
-	}
-	o.Release()
-	if st := p.Stats(); st.Puts != 1 || st.DoublePuts != 0 {
-		t.Fatalf("unexpected stats after concurrent churn: %+v", st)
-	}
-}
-
 // TestUnpooledOpsAreNoops pins the property the engine's unconditional
 // ledger relies on: Retain/Release on plain or nil occurrences do nothing.
 func TestUnpooledOpsAreNoops(t *testing.T) {
@@ -197,32 +162,26 @@ func TestUnpooledOpsAreNoops(t *testing.T) {
 	nilOcc.Release()
 }
 
-// poolForms names the two constructors, for tests and benchmarks that run
-// over both.
-var poolForms = []struct {
-	name string
-	new  func(*core.Roster) *Pool
-}{
-	{"owned", NewPool},
-	{"shared", NewSharedPool},
-}
-
 // TestPoolLifecycleBothForms runs one scripted ledger — creator
 // references, extra retains, a composite that cascades into its
-// constituents, a double put — through both pool forms.  The reference
-// counts after every step, the generation bumps and the counters must be
-// the same in both: the forms differ in how they synchronise, not in what
-// they count.  Misses are left out (sync.Pool drops puts at random under
-// the race detector).
+// constituents, a double put — and checks the reference counts after every
+// step, the generation bumps and the counters.  Misses are left out
+// (sync.Pool drops puts at random under the race detector).  The names
+// date from when the pool had a second, atomic form beside the
+// single-owner one; they are kept so the test keeps its identity in the
+// suite's history.
 func TestPoolLifecycleBothForms(t *testing.T) {
-	type step struct {
+	t.Run("owned", testPoolLifecycle)
+}
+
+func testPoolLifecycle(t *testing.T) {
+	steps := []struct {
 		name string
 		do   func(a, b, x *Occurrence)
 		// refs and gen deltas expected of a, b and x after the step.
 		refs [3]int32
 		gens [3]uint32
-	}
-	steps := []step{
+	}{
 		{"built", func(a, b, x *Occurrence) {}, [3]int32{2, 2, 1}, [3]uint32{}},
 		{"retain a", func(a, b, x *Occurrence) { a.Retain() }, [3]int32{3, 2, 1}, [3]uint32{}},
 		{"drop creators", func(a, b, x *Occurrence) { a.Release(); b.Release() }, [3]int32{2, 1, 1}, [3]uint32{}},
@@ -230,58 +189,46 @@ func TestPoolLifecycleBothForms(t *testing.T) {
 		{"last holder of a", func(a, b, x *Occurrence) { a.Release() }, [3]int32{0, 0, 0}, [3]uint32{1, 1, 1}},
 		{"double put of a", func(a, b, x *Occurrence) { a.Release() }, [3]int32{0, 0, 0}, [3]uint32{1, 1, 1}},
 	}
-	var stats [2]PoolStats
-	for fi, form := range poolForms {
-		t.Run(form.name, func(t *testing.T) {
-			r := testRoster()
-			p := form.new(r)
-			a := p.GetPrimitive("A", Explicit, stampAt("a", 3, 30), r.MustSite("a"), Params{"n": 1})
-			b := p.GetPrimitive("B", Explicit, stampAt("b", 4, 40), r.MustSite("b"), nil)
-			x := p.GetComposite("X", "b", []*Occurrence{a, b})
-			occs := [3]*Occurrence{a, b, x}
-			var gen0 [3]uint32
-			for i, o := range occs {
-				gen0[i] = o.Gen()
+	r := testRoster()
+	p := NewPool(r)
+	a := p.GetPrimitive("A", Explicit, stampAt("a", 3, 30), r.MustSite("a"), Params{"n": 1})
+	b := p.GetPrimitive("B", Explicit, stampAt("b", 4, 40), r.MustSite("b"), nil)
+	x := p.GetComposite("X", "b", []*Occurrence{a, b})
+	occs := [3]*Occurrence{a, b, x}
+	var gen0 [3]uint32
+	for i, o := range occs {
+		gen0[i] = o.Gen()
+	}
+	for _, st := range steps {
+		st.do(a, b, x)
+		for i, o := range occs {
+			if o.Refs() != st.refs[i] || o.Gen()-gen0[i] != st.gens[i] {
+				t.Fatalf("after %q: occurrence %d has refs=%d gen=+%d, want refs=%d gen=+%d",
+					st.name, i, o.Refs(), o.Gen()-gen0[i], st.refs[i], st.gens[i])
 			}
-			for _, st := range steps {
-				st.do(a, b, x)
-				for i, o := range occs {
-					if o.Refs() != st.refs[i] || o.Gen()-gen0[i] != st.gens[i] {
-						t.Fatalf("after %q: occurrence %d has refs=%d gen=+%d, want refs=%d gen=+%d",
-							st.name, i, o.Refs(), o.Gen()-gen0[i], st.refs[i], st.gens[i])
-					}
-				}
-			}
-			if x.Constituents == nil || len(x.Constituents) != 0 || a.Params != nil || a.Stamp != nil {
-				t.Fatalf("recycled occurrences not cleared: x=%+v a=%+v", x, a)
-			}
-			got := p.Stats()
-			if got.Gets != 3 || got.Puts != 3 || got.DoublePuts != 1 {
-				t.Fatalf("counters %+v, want 3 gets, 3 puts, 1 double put", got)
-			}
-			got.Misses = 0
-			stats[fi] = got
+		}
+	}
+	if x.Constituents == nil || len(x.Constituents) != 0 || a.Params != nil || a.Stamp != nil {
+		t.Fatalf("recycled occurrences not cleared: x=%+v a=%+v", x, a)
+	}
+	if got := p.Stats(); got.Gets != 3 || got.Puts != 3 || got.DoublePuts != 1 {
+		t.Fatalf("counters %+v, want 3 gets, 3 puts, 1 double put", got)
+	}
 
-			p.Strict = true
-			o := p.GetPrimitive("C", Explicit, stampAt("c", 5, 50), r.MustSite("c"), nil)
-			o.Release()
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Strict pool did not panic on the extra Release")
-				}
-			}()
-			o.Release()
-		})
-	}
-	if stats[0] != stats[1] {
-		t.Fatalf("forms disagree on the ledger: owned %+v, shared %+v", stats[0], stats[1])
-	}
+	p.Strict = true
+	o := p.GetPrimitive("C", Explicit, stampAt("c", 5, 50), r.MustSite("c"), nil)
+	o.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Strict pool did not panic on the extra Release")
+		}
+	}()
+	o.Release()
 }
 
-// TestOwnedPoolRetainsOnlyTheFrontArray pins the bound that keeps the
-// owner-local form's retained heap next to the concurrent form's: of
-// 10 000 released occurrences, localFree sit in the front array and the
-// rest go to the sync.Pool, which two collections empty.  (An unbounded
+// TestOwnedPoolRetainsOnlyTheFrontArray pins the bound on the pool's
+// retained heap: of 10 000 released occurrences, localFree sit in the front
+// array and the rest go to the sync.Pool, which two collections empty.  (An unbounded
 // free list would keep all 10 000 reachable.)
 func TestOwnedPoolRetainsOnlyTheFrontArray(t *testing.T) {
 	const n = 10000
@@ -315,32 +262,30 @@ func TestOwnedPoolRetainsOnlyTheFrontArray(t *testing.T) {
 	runtime.KeepAlive(p)
 }
 
-// BenchmarkPoolCycle times the steady-state lifecycle in both forms: a
-// primitive's get and release, and a two-constituent composite's (three
-// gets, the fold, and the cascade that frees all three).
+// BenchmarkPoolCycle times the steady-state lifecycle: a primitive's get
+// and release, and a two-constituent composite's (three gets, the fold,
+// and the cascade that frees all three).
 func BenchmarkPoolCycle(b *testing.B) {
-	for _, form := range poolForms {
-		r := testRoster()
-		sa, sb := r.MustSite("a"), r.MustSite("b")
-		b.Run(form.name+"/primitive", func(b *testing.B) {
-			p := form.new(r)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.GetPrimitive("A", Explicit, stampAt("a", 3, int64(i)), sa, nil).Release()
-			}
-		})
-		b.Run(form.name+"/composite", func(b *testing.B) {
-			p := form.new(r)
-			var cs [2]*Occurrence
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cs[0] = p.GetPrimitive("A", Explicit, stampAt("a", 3, int64(i)), sa, nil)
-				cs[1] = p.GetPrimitive("B", Explicit, stampAt("b", 3, int64(i)), sb, nil)
-				x := p.GetComposite("X", "b", cs[:])
-				cs[0].Release()
-				cs[1].Release()
-				x.Release()
-			}
-		})
-	}
+	r := testRoster()
+	sa, sb := r.MustSite("a"), r.MustSite("b")
+	b.Run("primitive", func(b *testing.B) {
+		p := NewPool(r)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.GetPrimitive("A", Explicit, stampAt("a", 3, int64(i)), sa, nil).Release()
+		}
+	})
+	b.Run("composite", func(b *testing.B) {
+		p := NewPool(r)
+		var cs [2]*Occurrence
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cs[0] = p.GetPrimitive("A", Explicit, stampAt("a", 3, int64(i)), sa, nil)
+			cs[1] = p.GetPrimitive("B", Explicit, stampAt("b", 3, int64(i)), sb, nil)
+			x := p.GetComposite("X", "b", cs[:])
+			cs[0].Release()
+			cs[1].Release()
+			x.Release()
+		}
+	})
 }

@@ -52,7 +52,7 @@ func New(sys *ddetect.System) *Runtime {
 // other methods are built on Do, so any ad-hoc access to the underlying
 // system is as safe as the built-ins.  That includes Retain and Release
 // on an occurrence a handler kept: the occurrence belongs to the system,
-// whose pool counts references without synchronisation at Workers ≤ 1.
+// whose pool counts references without synchronisation.
 func (r *Runtime) Do(fn func(sys *ddetect.System)) error {
 	r.mu.Lock()
 	if r.closed {

@@ -148,3 +148,68 @@ func TestDoExposesSystem(t *testing.T) {
 		t.Fatalf("Now = %d, %v", now, err)
 	}
 }
+
+// TestRetainedDetectionReleasedThroughDo pins the one threading rule the
+// occurrence pool has: every Retain and Release runs on the goroutine
+// driving the System.  A Subscribe handler (on the crank) retains each
+// detection and hands it to another goroutine, which reads it and gives it
+// back through Do.  Under -race a Release from the wrong goroutine is a
+// reported data race; done right, every occurrence returns to the pool.
+func TestRetainedDetectionReleasedThroughDo(t *testing.T) {
+	r, detections := newRuntime(t)
+	defer r.Close()
+
+	const rounds = 16
+	// Buffered past the detection count: the handler runs on the crank and
+	// must never wait for a consumer that is itself waiting in Do.
+	kept := make(chan *event.Occurrence, 2*rounds)
+	if err := r.Do(func(sys *ddetect.System) {
+		if err := sys.Subscribe("AB", func(o *event.Occurrence) { kept <- o.Retain() }); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for o := range kept {
+			// The retained tree is intact long after the handler returned.
+			if o.Type != "AB" || len(o.Constituents) != 2 || !o.Pooled() {
+				t.Errorf("retained detection damaged: type=%q constituents=%d pooled=%v",
+					o.Type, len(o.Constituents), o.Pooled())
+			}
+			if err := r.Do(func(*ddetect.System) { o.Release() }); err != nil {
+				t.Errorf("release through Do: %v", err)
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		for _, typ := range []string{"A", "B"} {
+			if _, err := r.Raise("edge", typ, event.Explicit, nil); err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < 6; s++ {
+				if err := r.Step(50); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := r.Settle(200); err != nil {
+		t.Fatal(err)
+	}
+	close(kept) // settled: no handler will run again
+	wg.Wait()
+	if *detections != rounds {
+		t.Fatalf("detections = %d, want %d", *detections, rounds)
+	}
+	var ps event.PoolStats
+	if err := r.Do(func(sys *ddetect.System) { ps = sys.PoolStats() }); err != nil {
+		t.Fatal(err)
+	}
+	if ps.Gets == 0 || ps.Gets != ps.Puts || ps.DoublePuts != 0 {
+		t.Fatalf("pool after settle: %+v, want every get put back and no double put", ps)
+	}
+}

@@ -5,8 +5,8 @@ package obs
 // origin site, and the raise stamp's global/local components), never by
 // ambient randomness — the walltime analyzer forbids time/math/rand in
 // instrumented code, and determinism is the point: the same seed over the
-// same run yields the same sampled-span stream regardless of worker
-// count, transport mode or pooling.
+// same run yields the same sampled-span stream regardless of transport
+// mode or pooling.
 //
 // Because the decision is a pure function of raise identity, it can be
 // recomputed anywhere the identity is known — in particular on the decode

@@ -287,8 +287,8 @@ func NewChromeTrace(w io.Writer) *ChromeTrace {
 // (canonical ID) order — tid i+1 for roster index i, with the "(system)"
 // track after them — and emits all the thread_name metadata up front.
 // Track numbering then depends only on the sealed membership, never on
-// which site happens to speak first, so traces from different runs,
-// worker counts or transport modes line up track-for-track.  Call it
+// which site happens to speak first, so traces from different runs or
+// transport modes line up track-for-track.  Call it
 // before the first span; events carrying a SiteRef skip the string map
 // entirely afterwards.
 func (c *ChromeTrace) UseRoster(r *core.Roster) {

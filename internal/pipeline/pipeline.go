@@ -1,17 +1,13 @@
 // Package pipeline is the staged-execution substrate of the distributed
-// detector: it replaces the former monolithic per-tick crank with an
-// explicit sequence of named stages (ingest → transport → release →
-// detect → publish), instruments every stage tick with counters and
-// wall-clock latency histograms, and provides the worker pool the detect
-// stage uses to fan out across sites.
+// detector: an explicit sequence of named stages (ingest → transport →
+// release → detect → publish) run once per simulated-time tick, each
+// stage tick instrumented with counters and wall-clock latency
+// histograms.
 //
 // The package is deliberately generic — a Stage is anything that can
-// process one simulated-time tick — so the observability layer and future
-// backends plug into the same seam.  Determinism is preserved by
-// construction: within a tick the Driver runs stages strictly in order,
-// and Pool.Run's only contract is "fn(i) ran for every i, all complete at
-// return", with fn restricted to per-i state, so goroutine scheduling
-// cannot leak into results (the per-tick barrier).
+// process one simulated-time tick — so the observability layer plugs into
+// the same seam.  Within a tick the Driver runs stages strictly in order
+// on the calling goroutine.
 package pipeline
 
 import (
@@ -48,12 +44,6 @@ type StageEvent struct {
 
 // Config parameterizes the staged execution of a system.
 type Config struct {
-	// Workers is the detect-stage worker count.  0 (the default) runs
-	// every stage on the crank goroutine — the legacy sequential
-	// behavior.  Workers > 1 detects across sites in parallel, joining
-	// at a per-tick barrier; results are bit-for-bit identical to the
-	// sequential mode (see the package comment).
-	Workers int
 	// OnStage, when non-nil, receives a StageEvent after every stage
 	// tick.
 	OnStage func(StageEvent)

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,59 +150,5 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if (&Histogram{}).String() != "-" {
 		t.Fatalf("empty histogram string %q", (&Histogram{}).String())
-	}
-}
-
-func TestPoolRunsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8} {
-		p := NewPool(workers)
-		const n = 100
-		var hits [n]atomic.Int32
-		p.Run(n, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestPoolBarrier(t *testing.T) {
-	// Every fn must have completed when Run returns.
-	p := NewPool(4)
-	var done atomic.Int32
-	p.Run(64, func(i int) {
-		time.Sleep(time.Microsecond)
-		done.Add(1)
-	})
-	if got := done.Load(); got != 64 {
-		t.Fatalf("barrier leaked: %d of 64 done at return", got)
-	}
-}
-
-func TestPoolPanicPropagates(t *testing.T) {
-	p := NewPool(4)
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
-		}
-	}()
-	p.Run(8, func(i int) {
-		if i == 3 {
-			panic("boom")
-		}
-	})
-	t.Fatalf("panic did not propagate")
-}
-
-func TestNilPoolRunsInline(t *testing.T) {
-	var p *Pool
-	ran := 0
-	p.Run(5, func(i int) { ran++ })
-	if ran != 5 {
-		t.Fatalf("nil pool ran %d of 5", ran)
-	}
-	if p.Workers() != 0 {
-		t.Fatalf("nil pool workers %d", p.Workers())
 	}
 }

@@ -26,17 +26,16 @@
 //	transport — batch bus drain + per-link FIFO restore
 //	release   — watermark release of stable events (ReleaseTotalOrder /
 //	            ReleaseExtension) into per-site detect inboxes
-//	detect    — per-site detector graphs over the released batches,
-//	            in parallel across sites when PipelineConfig.Workers > 1
+//	detect    — per-site detector graphs over the released batches
 //	publish   — subscriber fan-out, hierarchical forwarding, stats
 //
-// Only the detect stage runs on worker goroutines, and each worker owns
-// one site's state outright; everything that touches shared state (the
-// bus and its seeded RNG, counters, user handlers) happens afterwards on
-// the crank goroutine in site-ID order.  Released batches are already
-// deterministically ordered by (watermark global, site, local, arrival),
-// so sequential and parallel runs produce bit-for-bit identical
-// occurrence streams — set SystemConfig.Pipeline.Workers freely.
+// One goroutine turns the crank: every stage runs on the goroutine that
+// calls Step/Run/Settle and walks the sites in ID order, and released
+// batches are deterministically ordered by (watermark global, site, local,
+// arrival), so the occurrence stream is a function of the seeded history
+// alone.  A System is not safe for concurrent use; wrap it in a Runtime
+// for concurrent producers, and scale out by running more processes — the
+// paper's unit of distribution is the site, not the thread.
 // Per-stage counters and wall-clock latency histograms are exposed via
 // SystemStats.Stages, and PipelineConfig.OnStage hooks every stage tick.
 //
@@ -134,9 +133,8 @@ type (
 	ReleaseMode = ddetect.ReleaseMode
 	// Runtime makes a System safe for concurrent producers.
 	Runtime = live.Runtime
-	// PipelineConfig tunes the staged execution: Workers is the
-	// detect-stage worker count (0 = sequential legacy behavior, with
-	// identical results either way) and OnStage hooks instrumentation.
+	// PipelineConfig tunes the staged execution: OnStage hooks per-stage
+	// instrumentation.
 	PipelineConfig = pipeline.Config
 	// StageEvent is one per-stage instrumentation sample.
 	StageEvent = pipeline.StageEvent
