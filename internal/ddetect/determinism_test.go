@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/detector"
 	"repro/internal/event"
@@ -20,9 +21,14 @@ import (
 // scenarioOpts parameterizes runScenario.  The zero value is invalid; use
 // defaultScenario() for the canonical six-site adversarial run.
 type scenarioOpts struct {
-	sites  int   // ≥ 3: the definitions live at the first three sites
-	count  int   // workload events
-	seed   int64 // drives the workload, the network and the site skews
+	sites int   // ≥ 3: the definitions live at the first three sites
+	count int   // workload events
+	seed  int64 // drives the workload, the network and the site skews
+	// step, when set, moves the clock only in whole steps of this size:
+	// each raise happens at the last step boundary at or before its instant,
+	// so a step of k heartbeat periods queues k heartbeats per link per
+	// flush.  Zero runs up to each raise instant in steps of at most 50.
+	step   clock.Microticks
 	mutate func(*Config)
 	// noObs leaves the system completely uninstrumented.  By default
 	// runScenario arms a flight-recorder-backed tracer (dumped into the
@@ -99,7 +105,12 @@ func runScenario(t testing.TB, o scenarioOpts) ([]byte, Stats) {
 		MeanGap: 40, Count: o.count, Seed: o.seed,
 	})
 	for _, item := range trace.Items {
-		sys.Run(item.At, 50)
+		if o.step == 0 {
+			sys.Run(item.At, 50)
+		}
+		for o.step > 0 && sys.Now()+o.step <= item.At {
+			sys.Step(o.step)
+		}
 		sys.Site(item.Site).MustRaise(item.Type, event.Explicit, item.Params)
 	}
 	if err := sys.Settle(50_000); err != nil {

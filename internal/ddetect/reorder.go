@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/wire"
@@ -161,9 +162,13 @@ func (r *reorderer) source(from core.Site, seq uint64) (*sourceState, error) {
 		//lint:allow hotalloc — error path: duplicate sequence numbers are protocol violations, never the steady state
 		return nil, fmt.Errorf("ddetect: duplicate seq %d from %q (next %d)", seq, r.siteID(from), st.nextSeq)
 	}
-	if _, dup := st.pending[seq]; dup {
-		//lint:allow hotalloc — error path: duplicate buffered sequences are protocol violations, never the steady state
-		return nil, fmt.Errorf("ddetect: duplicate buffered seq %d from %q", seq, r.siteID(from))
+	// A source with nothing buffered — nearly every arrival's — is not
+	// worth a hash into its nil or emptied map.
+	if len(st.pending) > 0 {
+		if _, dup := st.pending[seq]; dup {
+			//lint:allow hotalloc — error path: duplicate buffered sequences are protocol violations, never the steady state
+			return nil, fmt.Errorf("ddetect: duplicate buffered seq %d from %q", seq, r.siteID(from))
+		}
 	}
 	return st, nil
 }
@@ -184,13 +189,8 @@ func (r *reorderer) accept(from core.Site, seq uint64, env wire.Envelope) error 
 		r.drain(st)
 		return nil
 	}
-	if st.pending == nil {
-		//lint:allow hotalloc — lazy one-time map per source, only materialized the first time that source delivers out of order
-		st.pending = make(map[uint64][]wire.Envelope)
-	}
 	//lint:allow hotalloc — the pending run is retained until the sequence gap fills; the buffer is the point of the reorderer
-	st.pending[seq] = []wire.Envelope{env}
-	r.buffered++
+	r.buffer(st, seq, []wire.Envelope{env})
 	return nil
 }
 
@@ -214,13 +214,45 @@ func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []wire.Envelope
 		r.drain(st)
 		return nil
 	}
+	r.buffer(st, seq, append([]wire.Envelope(nil), envs...))
+	return nil
+}
+
+// acceptFrontier ingests a message that carries one heartbeat and nothing
+// else — most of what a sink receives: the frontier global, raised at the
+// nominal instant at.  It is accept for that envelope without the envelope:
+// the same screening, the same buffering of an out-of-order arrival (as the
+// one-envelope run it is), the same drain behind an in-order one.
+//
+//sentinel:hotpath
+func (r *reorderer) acceptFrontier(from core.Site, seq uint64, global int64, at clock.Microticks) error {
+	st, err := r.source(from, seq)
+	if err != nil {
+		return err
+	}
+	if seq == st.nextSeq {
+		st.nextSeq++
+		r.advance(st, global)
+		r.drain(st)
+		return nil
+	}
+	//lint:allow hotalloc — the pending run is retained until the sequence gap fills; the buffer is the point of the reorderer
+	r.buffer(st, seq, []wire.Envelope{{Kind: wire.KindHeartbeat, Global: global, RaisedAt: at}})
+	return nil
+}
+
+// buffer holds an out-of-order message's run, which it takes ownership
+// of, until the sequence gap before it fills.  It is the accept methods'
+// cold half, kept out of line so that their in-order half stays small.
+//
+//go:noinline
+func (r *reorderer) buffer(st *sourceState, seq uint64, run []wire.Envelope) {
 	if st.pending == nil {
 		//lint:allow hotalloc — lazy one-time map per source, only materialized the first time that source delivers out of order
 		st.pending = make(map[uint64][]wire.Envelope)
 	}
-	st.pending[seq] = append([]wire.Envelope(nil), envs...)
-	r.buffered += len(envs)
-	return nil
+	st.pending[seq] = run
+	r.buffered += len(run)
 }
 
 // drain consumes the in-order run now sitting in the pending map.
@@ -253,21 +285,25 @@ func (r *reorderer) ingest(st *sourceState, env wire.Envelope) {
 		r.ready.push(readyItem{env: env, key: r.releaseKey(env.Occ, r.arrival)})
 		r.stale = true
 	case wire.KindHeartbeat:
-		if env.Global > st.frontier {
-			st.frontier = env.Global
-			r.minDirty = true
-			r.stale = true
-		}
+		r.advance(st, env.Global)
+	}
+}
+
+// advance moves a source's frontier up to a heartbeat's global time; one
+// not above the current frontier changes nothing.
+func (r *reorderer) advance(st *sourceState, global int64) {
+	if global > st.frontier {
+		st.frontier = global
+		r.minDirty = true
+		r.stale = true
 	}
 }
 
 // setFrontier advances a source's frontier directly (used for the site's
 // own clock, which needs no heartbeat message).
 func (r *reorderer) setFrontier(from core.Site, g int64) {
-	if i := r.slot(from); i >= 0 && g > r.sources[i].frontier {
-		r.sources[i].frontier = g
-		r.minDirty = true
-		r.stale = true
+	if i := r.slot(from); i >= 0 {
+		r.advance(&r.sources[i], g)
 	}
 }
 

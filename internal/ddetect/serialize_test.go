@@ -141,11 +141,11 @@ func TestUnbatchedSerializeCountsPayloadBytes(t *testing.T) {
 		t.Fatalf("unbatched payload bytes = %d, want the %d single-frame bytes of the batched run (%d less %d framing)",
 			single.PayloadBytes, batched.PayloadBytes-framing, batched.PayloadBytes, framing)
 	}
-	var byLink uint64
+	var perLink uint64
 	for _, ls := range links {
-		byLink += ls.Bytes
+		perLink += ls.Bytes
 	}
-	if byLink != single.PayloadBytes {
-		t.Fatalf("per-link bytes sum to %d, bus total is %d", byLink, single.PayloadBytes)
+	if perLink != single.PayloadBytes {
+		t.Fatalf("per-link bytes sum to %d, bus total is %d", perLink, single.PayloadBytes)
 	}
 }

@@ -94,17 +94,12 @@ func (st *ingestStage) Tick(now clock.Microticks) int {
 			// Only the event sinks (sites in some needers list) gate
 			// their watermark on remote frontiers; heartbeating anyone
 			// else would advance a frontier nothing waits on (see
-			// System.seal).  RaisedAt carries the nominal heartbeat
-			// instant — the reference the wire codec delta-encodes the
-			// frontier against in Serialize mode.
-			for _, dst := range sys.hbSinks {
-				if dst == s {
-					continue
-				}
-				sys.coal.add(s.idx, dst.idx, wire.Envelope{Kind: wire.KindHeartbeat, Global: g, RaisedAt: sys.nextHB})
-				sys.stats.Heartbeats++
-				n++
-			}
+			// System.seal).  The frontier travels with the nominal
+			// heartbeat instant — the reference the wire codec
+			// delta-encodes it against in Serialize mode.
+			sent := sys.coal.heartbeat(s.idx, g, sys.nextHB)
+			sys.stats.Heartbeats += uint64(sent)
+			n += sent
 		}
 		sys.nextHB += sys.cfg.HeartbeatEvery
 	}
@@ -205,11 +200,12 @@ func (st *ingestStage) raise(s *Site, typ string, class event.Class, params even
 }
 
 // transportStage drains the bus in one batch per tick, unpacks each
-// message's payload — a coalesced envelope run, a serialized batch frame,
-// or a single envelope (encoded or not) in the differential unbatched mode
-// — and feeds the envelopes into the destination site's reorderer, which
-// restores per-link FIFO order.  The drain and decode scratch slices are
-// reused across ticks, and unpacked batch containers go back to the
+// message's payload — a lone frontier (two integers in memory, a
+// one-heartbeat frame serialized), a coalesced envelope run, a serialized
+// batch frame, or a single envelope (encoded or not) in the differential
+// unbatched mode — and feeds it into the destination site's reorderer,
+// which restores per-link FIFO order.  The drain and decode scratch slices
+// are reused across ticks, and unpacked containers go back to the
 // coalescer's free lists.
 type transportStage struct {
 	sys     *System
@@ -247,16 +243,25 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 			n += len(p.envs)
 			sys.coal.recycleEnvs(p.envs)
 			sys.coal.recycleRun(p)
+		case *frontierMsg:
+			st.acceptFrontier(dst, m.FromSite, m.Seq, p.global, p.at)
+			n++
+			sys.coal.recycleFrontier(p)
 		case *frame:
-			st.decoded = st.decoded[:0]
-			//lint:allow hotalloc — DecodeBatch allocates only when rejecting a corrupt frame, and the panic below formats only then
-			if err := sys.codec.DecodeBatch(p.buf, st.appendDecoded); err != nil {
-				//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
-				panic(fmt.Sprintf("ddetect: corrupt batch: %v", err))
+			if g, at, ok := sys.codec.DecodeFrontier(p.buf); ok {
+				st.acceptFrontier(dst, m.FromSite, m.Seq, g, at)
+				n++
+			} else {
+				st.decoded = st.decoded[:0]
+				//lint:allow hotalloc — DecodeBatch allocates only when rejecting a corrupt frame, and the panic below formats only then
+				if err := sys.codec.DecodeBatch(p.buf, st.appendDecoded); err != nil {
+					//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
+					panic(fmt.Sprintf("ddetect: corrupt batch: %v", err))
+				}
+				st.acceptRun(dst, m.FromSite, m.Seq, st.decoded)
+				n += len(st.decoded)
+				clear(st.decoded)
 			}
-			st.acceptRun(dst, m.FromSite, m.Seq, st.decoded)
-			n += len(st.decoded)
-			clear(st.decoded)
 			sys.coal.recycleFrame(p)
 		case []byte:
 			//lint:allow hotalloc — Decode allocates only when rejecting a corrupt frame, and the panic below formats only then
@@ -296,6 +301,13 @@ func (st *transportStage) acceptRun(dst *Site, from core.Site, seq uint64, envs 
 		}
 	}
 	if err := dst.re.acceptBatch(from, seq, envs); err != nil {
+		panic(err) // bus sequencing guarantees make this unreachable
+	}
+}
+
+// acceptFrontier hands one lone-frontier message to the reorderer.
+func (st *transportStage) acceptFrontier(dst *Site, from core.Site, seq uint64, global int64, at clock.Microticks) {
+	if err := dst.re.acceptFrontier(from, seq, global, at); err != nil {
 		panic(err) // bus sequencing guarantees make this unreachable
 	}
 }
@@ -349,6 +361,11 @@ func (st *releaseStage) Tick(now clock.Microticks) int {
 	sys := st.sys
 	n := 0
 	for _, s := range sys.sites {
+		// Every site's own heartbeat marks its reorderer stale; at all but
+		// the few sites holding an event that is all there is to it.
+		if len(s.re.ready) == 0 {
+			continue
+		}
 		st.stable = s.re.releaseInto(sys.cfg.Release, st.stable[:0])
 		for _, env := range st.stable {
 			sys.stats.Released++

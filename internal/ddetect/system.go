@@ -286,7 +286,7 @@ type System struct {
 	sites []*Site
 	// roster is the sealed membership: dense index i names sys.sites[i]
 	// (AddSite keeps sites sorted by ID, and roster order is ID order).
-	// Every post-seal hot path — reorderers, the coalescer's link keys,
+	// Every post-seal hot path — reorderers, the coalescer's link table,
 	// the bus's dense link index, the wire codec — runs on these indexes;
 	// strings survive only at the public API and in eventlog/report
 	// output, so determinism artifacts stay byte-identical.
@@ -902,7 +902,8 @@ func (sys *System) Subscribe(name string, h detector.Handler) error {
 // so its watermark gates only on its own frontier and nobody needs to
 // heartbeat it.  seal fixes both sides of that asymmetry: full source
 // sets (and heartbeat fan-in, see ingestStage.Tick) for the sinks,
-// self-only for everyone else.
+// self-only for everyone else — and the coalescer's link table, one link
+// from every site to every sink, since nothing is ever sent elsewhere.
 func (sys *System) seal() {
 	if sys.sealed {
 		return
@@ -946,6 +947,7 @@ func (sys *System) seal() {
 			s.re = newSelfReorderer(sys.roster, s.idx)
 		}
 	}
+	sys.coal.seal(len(sys.sites), sys.hbSinks)
 	// Occurrence pooling needs the sealed roster (interned stamp
 	// components).  Tracing no longer suspends it: span identity is
 	// keyed by (pointer, generation), so a recycled slot cannot alias a

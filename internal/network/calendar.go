@@ -68,24 +68,29 @@ const ringSpan = 64
 // init readies a zero calendar in place (ring points into it).
 func (q *calendar) init() { q.ring = q.ring0[:] }
 
-// push files m at the tail of its delivery instant's chain.
-func (q *calendar) push(m Message) {
-	if m.SentAt != q.lo {
-		q.advance(m.SentAt)
+// push files a message sent at sentAt and due at deliverAt at the tail of
+// its delivery instant's chain and returns its slot, the two instants set,
+// for the caller to fill in place — every other field of it: a recycled
+// slot still holds its last message.
+func (q *calendar) push(sentAt, deliverAt clock.Microticks) *Message {
+	if sentAt != q.lo {
+		q.advance(sentAt)
 	}
-	if delay := m.DeliverAt - m.SentAt; delay >= clock.Microticks(len(q.ring)) {
+	if delay := deliverAt - sentAt; delay >= clock.Microticks(len(q.ring)) {
 		q.grow(delay)
 	}
 	i := q.free
+	var nd *node
 	if i != 0 {
-		nd := q.at(i)
+		nd = q.at(i)
 		q.free = nd.next
-		*nd = node{msg: m}
+		nd.next = 0
 	} else {
-		q.nodes = append(q.nodes, node{msg: m})
+		q.nodes = append(q.nodes, node{})
 		i = link(len(q.nodes))
+		nd = q.at(i)
 	}
-	c := &q.ring[int(m.DeliverAt)&(len(q.ring)-1)]
+	c := &q.ring[int(deliverAt)&(len(q.ring)-1)]
 	if c.head == 0 {
 		c.head = i
 		q.occupied++
@@ -94,6 +99,8 @@ func (q *calendar) push(m Message) {
 	}
 	c.tail = i
 	q.n++
+	nd.msg.SentAt, nd.msg.DeliverAt = sentAt, deliverAt
+	return &nd.msg
 }
 
 // advance moves lo to the send instant now, splicing the chains of the

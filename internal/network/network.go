@@ -193,14 +193,19 @@ func (b *Bus) draw() (delay clock.Microticks, attempts int) {
 	return delay, attempts
 }
 
-// enqueue files one message for delivery and maintains the send-side
-// counters.
-func (b *Bus) enqueue(m Message) {
-	b.queue.push(m)
+// file puts one message into the delivery queue, filling the queue's own
+// slot in place, and maintains the send-side counters.
+func (b *Bus) file(from, to core.Site, seq uint64, now, delay clock.Microticks, attempts int, payload any) *Message {
+	m := b.queue.push(now, now+delay)
+	m.FromSite, m.ToSite = from, to
+	m.Seq = seq
+	m.Attempts = attempts
+	m.Payload = payload
 	b.stats.Sent++
 	if n := b.queue.n; n > b.stats.MaxInFlight {
 		b.stats.MaxInFlight = n
 	}
+	return m
 }
 
 // SendBatchSite enqueues one message from site from to site to carrying
@@ -214,16 +219,7 @@ func (b *Bus) SendBatchSite(now clock.Microticks, from, to core.Site, payload an
 	ls := b.link(from, to)
 	delay, attempts := b.draw()
 	ls.seq++
-	m := Message{
-		FromSite:  from,
-		ToSite:    to,
-		Seq:       ls.seq,
-		SentAt:    now,
-		DeliverAt: now + delay,
-		Attempts:  attempts,
-		Payload:   payload,
-	}
-	b.enqueue(m)
+	m := b.file(from, to, ls.seq, now, delay, attempts, payload)
 	ls.sent++
 	ls.envelopes += uint64(envelopes)
 	ls.bytes += uint64(bytes)
@@ -236,7 +232,7 @@ func (b *Bus) SendBatchSite(now clock.Microticks, from, to core.Site, payload an
 	if attempts > 1 {
 		b.stats.Retransmitted += uint64(attempts - 1)
 	}
-	return m
+	return *m
 }
 
 // SendUnbatchedSite enqueues n consecutive messages on the (from,to) link
@@ -262,15 +258,7 @@ func (b *Bus) SendUnbatchedSite(now clock.Microticks, from, to core.Site, n int,
 		if frame, ok := payload.([]byte); ok {
 			bytes += len(frame)
 		}
-		b.enqueue(Message{
-			FromSite:  from,
-			ToSite:    to,
-			Seq:       ls.seq,
-			SentAt:    now,
-			DeliverAt: now + delay,
-			Attempts:  attempts,
-			Payload:   payload,
-		})
+		b.file(from, to, ls.seq, now, delay, attempts, payload)
 	}
 	ls.sent += uint64(n)
 	ls.envelopes += uint64(n)

@@ -1,9 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/event"
 )
@@ -19,15 +19,20 @@ import (
 // never nest: a KindBatch byte in an envelope position is ErrNestedBatch,
 // both when encoding and when decoding, so the frame grammar stays one
 // level deep no matter what arrives off the network.
-
-// scratchPool recycles the per-envelope staging buffer AppendBatch needs
-// to learn each member's length before writing its prefix.  With a
-// recycled dst and a warm pool, batch encoding is allocation-free.
-var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+//
+// The batch of one heartbeat — most of a bus's messages — has an encoder
+// and a recognizer of its own (AppendFrontier, DecodeFrontier) beside the
+// general pair.
 
 // AppendBatch encodes envs as one batch frame, appending to dst (which
 // may be nil or a recycled buffer).  It rejects empty batches and
 // KindBatch members.
+//
+// The encoding is one pass: each member is written directly behind a
+// one-byte slot reserved for its length, which is what the length takes
+// for any member under 128 bytes (every heartbeat, and an event without
+// long parameters).  A longer member is moved up by the extra bytes its
+// length needs once that length is known.
 func (c *Codec) AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
 	if len(envs) == 0 {
 		return nil, errors.New("wire: empty batch")
@@ -38,22 +43,72 @@ func (c *Codec) AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
 	}
 	dst = append(dst, KindBatch)
 	dst = appendUvarint(dst, uint64(len(envs)))
-	sp := scratchPool.Get().(*[]byte)
-	scratch := *sp
 	var err error
 	for i := range envs {
-		scratch, err = c.EncodeAppend(scratch[:0], envs[i])
+		slot := len(dst)
+		dst, err = c.EncodeAppend(append(dst, 0), envs[i])
 		if err != nil {
-			err = fmt.Errorf("wire: batch envelope %d: %w", i, err)
-			dst = nil
-			break
+			return nil, fmt.Errorf("wire: batch envelope %d: %w", i, err)
 		}
-		dst = appendUvarint(dst, uint64(len(scratch)))
-		dst = append(dst, scratch...)
+		dst = fillLength(dst, slot)
 	}
-	*sp = scratch[:0]
-	scratchPool.Put(sp)
-	return dst, err
+	return dst, nil
+}
+
+// fillLength writes the uvarint length of the member dst[slot+1:] into the
+// one byte reserved at dst[slot], first moving the member up when the
+// length needs more than that byte.
+func fillLength(dst []byte, slot int) []byte {
+	n := len(dst) - slot - 1
+	if n < 0x80 {
+		dst[slot] = byte(n)
+		return dst
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(prefix[:], uint64(n))
+	dst = append(dst, prefix[:k-1]...) // grow by the extra length bytes
+	copy(dst[slot+k:], dst[slot+1:slot+1+n])
+	copy(dst[slot:], prefix[:k])
+	return dst
+}
+
+// AppendFrontier encodes the batch frame of one heartbeat — the frontier
+// global raised at the nominal instant at — appending to dst: byte for
+// byte what AppendBatch gives that lone envelope.  It is the encoder of
+// the message that is most of the bus's traffic (see DESIGN.md §2e).
+func (c *Codec) AppendFrontier(dst []byte, global, at int64) ([]byte, error) {
+	if err := c.check(); err != nil {
+		return nil, err
+	}
+	slot := len(dst) + 2
+	dst = append(dst, KindBatch, 1, 0, KindFrontierDelta)
+	dst = appendVarint(dst, at)
+	dst = appendVarint(dst, global-c.frontierBase(at))
+	dst[slot] = byte(len(dst) - slot - 1) // two varints: at most 21 bytes
+	return dst, nil
+}
+
+// DecodeFrontier recognizes the frame AppendFrontier writes: ok reports
+// that buf is, in canonical form, a valid batch of exactly one heartbeat,
+// whose frontier and nominal instant are returned.  It applies to those
+// bytes every check DecodeBatch does — tag, count, declared length equal
+// to what remains, both varints whole, nothing trailing, a complete codec
+// — and leaves every other input, well-formed or not, to DecodeBatch,
+// which decodes or rejects it as it always has.
+func (c *Codec) DecodeFrontier(buf []byte) (global, at int64, ok bool) {
+	if len(buf) < 6 || buf[0] != KindBatch || buf[1] != 1 || int(buf[2]) != len(buf)-3 ||
+		buf[3] != KindFrontierDelta || c.check() != nil {
+		return 0, 0, false
+	}
+	at, n := binary.Varint(buf[4:])
+	if n <= 0 {
+		return 0, 0, false
+	}
+	delta, m := binary.Varint(buf[4+n:])
+	if m <= 0 || 4+n+m != len(buf) {
+		return 0, 0, false
+	}
+	return c.frontierBase(at) + delta, at, true
 }
 
 // IsBatch reports whether buf starts a batch frame.
@@ -65,6 +120,8 @@ func IsBatch(buf []byte) bool {
 // frame order; fn's error aborts the scan.  Decoding streams: memory use
 // is bounded by one envelope regardless of the count the frame claims,
 // and all the single-envelope hostile-input limits apply to each member.
+// One reader walks the whole frame, narrowed to each member's declared
+// window in turn.
 func (c *Codec) DecodeBatch(buf []byte, fn func(Envelope) error) error {
 	r := &reader{buf: buf}
 	kind, err := r.byte()
@@ -90,17 +147,17 @@ func (c *Codec) DecodeBatch(buf []byte, fn func(Envelope) error) error {
 		if err != nil {
 			return err
 		}
-		if l > uint64(len(r.buf)-r.pos) {
+		if l > uint64(len(buf)-r.pos) {
 			return fmt.Errorf("%w: batch envelope %d claims %d bytes", ErrTruncated, i, l)
 		}
-		member := r.buf[r.pos : r.pos+int(l)]
-		r.pos += int(l)
-		// Decode rejects trailing garbage, so the member must fill its
+		// envelope rejects trailing garbage, so the member must fill its
 		// declared window exactly, and rejects KindBatch (ErrNestedBatch).
-		e, err := c.Decode(member)
+		r.buf = buf[:r.pos+int(l)]
+		e, err := c.envelope(r)
 		if err != nil {
 			return fmt.Errorf("wire: batch envelope %d: %w", i, err)
 		}
+		r.buf = buf
 		if err := fn(e); err != nil {
 			return err
 		}

@@ -97,6 +97,17 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		delta[:len(delta)-1],           // truncated delta
 		denseBatch[:len(denseBatch)-2], // truncated dense batch
 	)
+	// Lone-frontier frames — most of what a bus carries — and every
+	// truncation of them.
+	for _, f := range [][2]int64{{3, 31}, {-2, -15}, {1 << 40, 1 << 43}} {
+		lone, err := fuzzCodec.AppendFrontier(nil, f[0], f[1])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for cut := len(lone); cut > 0; cut-- {
+			seeds = append(seeds, lone[:cut])
+		}
+	}
 	// Unknown site index: one past the roster length.
 	unknownIdx := []byte{KindEventTyped}
 	unknownIdx = binary.AppendVarint(unknownIdx, 0)
@@ -124,10 +135,14 @@ var fuzzCodec = &Codec{
 }
 
 // exercise runs every decoder entry point over data; any panic or
-// unbounded allocation is the fuzzer's (or the corpus test's) failure.
+// unbounded allocation is the fuzzer's (or the corpus test's) failure, and
+// so is a frame DecodeFrontier takes that DecodeBatch reads differently.
 func exercise(data []byte) {
 	if IsBatch(data) {
 		_ = fuzzCodec.DecodeBatch(data, discard)
+	}
+	if msg := frontierDisagreement(fuzzCodec, data); msg != "" {
+		panic(msg)
 	}
 	_, _ = fuzzCodec.Decode(data)
 	_, _ = DecodeOccurrence(data)

@@ -343,10 +343,15 @@ func (c *Codec) typeRef(r *reader) (event.TypeID, string, error) {
 // Decode parses one envelope frame — KindEventTyped or KindFrontierDelta
 // — rejecting every other tag and trailing garbage.
 func (c *Codec) Decode(buf []byte) (Envelope, error) {
+	return c.envelope(&reader{buf: buf})
+}
+
+// envelope reads the one envelope frame that runs from r's position to the
+// end of r.buf.
+func (c *Codec) envelope(r *reader) (Envelope, error) {
 	if err := c.check(); err != nil {
 		return Envelope{}, err
 	}
-	r := &reader{buf: buf}
 	kind, err := r.byte()
 	if err != nil {
 		return Envelope{}, err
@@ -381,9 +386,9 @@ func (c *Codec) Decode(buf []byte) (Envelope, error) {
 		e.Kind = KindEvent
 		e.Occ = o
 	}
-	if r.pos != len(buf) {
+	if r.pos != len(r.buf) {
 		//lint:allow hotalloc — error path: corrupt-input rejection; never formats on valid frames
-		return Envelope{}, fmt.Errorf("wire: %d trailing bytes", len(buf)-r.pos)
+		return Envelope{}, fmt.Errorf("wire: %d trailing bytes", len(r.buf)-r.pos)
 	}
 	return e, nil
 }

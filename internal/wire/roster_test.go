@@ -182,6 +182,22 @@ func frameBatch(members ...[]byte) []byte {
 	return buf
 }
 
+// twoPassBatch is the batch encoder AppendBatch used to be: every member
+// encoded on its own first, then framed behind its length.  It is the
+// reference the one-pass encoder is held to.
+func twoPassBatch(tb testing.TB, c *Codec, envs []Envelope) []byte {
+	tb.Helper()
+	members := make([][]byte, len(envs))
+	for i, e := range envs {
+		m, err := c.Encode(e)
+		if err != nil {
+			tb.Fatalf("Encode member %d: %v", i, err)
+		}
+		members[i] = m
+	}
+	return frameBatch(members...)
+}
+
 func TestCodecHostileInputs(t *testing.T) {
 	c := testCodec()
 	// Unknown site index: one past the roster.
@@ -243,6 +259,12 @@ func TestCodecRequiresAllParts(t *testing.T) {
 		}
 		if _, err := c.AppendBatch(nil, []Envelope{env}); err == nil {
 			t.Errorf("%s: AppendBatch succeeded", name)
+		}
+		if _, err := c.AppendFrontier(nil, env.Global, env.RaisedAt); err == nil {
+			t.Errorf("%s: AppendFrontier succeeded", name)
+		}
+		if _, _, ok := c.DecodeFrontier(batch); ok {
+			t.Errorf("%s: DecodeFrontier succeeded", name)
 		}
 		if _, err := c.Decode(frame); err == nil {
 			t.Errorf("%s: Decode succeeded", name)

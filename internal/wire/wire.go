@@ -16,6 +16,12 @@
 //	KindFrontierDelta | varint raisedAt | varint (global − raisedAt/granule)
 //	KindBatch         | uvarint count | count × (uvarint length | frame)
 //
+// A batch of one KindFrontierDelta member — a heartbeat and nothing else,
+// eight or nine bytes — is nearly every message a detector's bus carries.
+// It has no format of its own, only an encoder and a recognizer that skip
+// the general machinery (AppendFrontier, DecodeFrontier); every other
+// batch goes through AppendBatch and DecodeBatch.
+//
 // The eventlog journal stores a different record, AppendOccurrence's: the
 // same occurrence tree with sites and types spelled out as strings.  A
 // journal must stay readable after the roster that wrote it is gone, so
