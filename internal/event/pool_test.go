@@ -262,30 +262,55 @@ func TestOwnedPoolRetainsOnlyTheFrontArray(t *testing.T) {
 	runtime.KeepAlive(p)
 }
 
-// BenchmarkPoolCycle times the steady-state lifecycle: a primitive's get
-// and release, and a two-constituent composite's (three gets, the fold,
-// and the cascade that frees all three).
-func BenchmarkPoolCycle(b *testing.B) {
+// poolCycles returns, over a fresh pool, the steady-state lifecycles
+// BenchmarkPoolCycle times and TestPoolCycleAllocs gates: a primitive's
+// get and release, and a two-constituent composite's (three gets, the
+// fold, and the cascade that frees all three).
+func poolCycles() (primitive, composite func(i int64)) {
 	r := testRoster()
+	p := NewPool(r)
 	sa, sb := r.MustSite("a"), r.MustSite("b")
+	var cs [2]*Occurrence
+	primitive = func(i int64) {
+		p.GetPrimitive("A", Explicit, stampAt("a", 3, i), sa, nil).Release()
+	}
+	composite = func(i int64) {
+		cs[0] = p.GetPrimitive("A", Explicit, stampAt("a", 3, i), sa, nil)
+		cs[1] = p.GetPrimitive("B", Explicit, stampAt("b", 3, i), sb, nil)
+		x := p.GetComposite("X", "b", cs[:])
+		cs[0].Release()
+		cs[1].Release()
+		x.Release()
+	}
+	return primitive, composite
+}
+
+// Once warm, a pool cycle allocates nothing: every occurrence, stamp and
+// constituent slice is recycled through the pool's front array, which
+// the race detector leaves alone.
+func TestPoolCycleAllocs(t *testing.T) {
+	primitive, composite := poolCycles()
+	for name, cycle := range map[string]func(int64){"primitive": primitive, "composite": composite} {
+		i := int64(0)
+		if n := testing.AllocsPerRun(100, func() { i++; cycle(i) }); n != 0 {
+			t.Errorf("%s cycle: %v allocs, want 0", name, n)
+		}
+	}
+}
+
+func BenchmarkPoolCycle(b *testing.B) {
 	b.Run("primitive", func(b *testing.B) {
-		p := NewPool(r)
+		primitive, _ := poolCycles()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p.GetPrimitive("A", Explicit, stampAt("a", 3, int64(i)), sa, nil).Release()
+			primitive(int64(i))
 		}
 	})
 	b.Run("composite", func(b *testing.B) {
-		p := NewPool(r)
-		var cs [2]*Occurrence
+		_, composite := poolCycles()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cs[0] = p.GetPrimitive("A", Explicit, stampAt("a", 3, int64(i)), sa, nil)
-			cs[1] = p.GetPrimitive("B", Explicit, stampAt("b", 3, int64(i)), sb, nil)
-			x := p.GetComposite("X", "b", cs[:])
-			cs[0].Release()
-			cs[1].Release()
-			x.Release()
+			composite(int64(i))
 		}
 	})
 }

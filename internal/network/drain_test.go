@@ -37,38 +37,71 @@ var ringRoster = func() *core.Roster {
 	return core.NewRoster(ids)
 }()
 
-// benchBus runs the crank's shape — an instant's sends, then its drain,
+// busCrank runs the crank's shape — an instant's sends, then its drain,
 // the instants one mean delay apart so that each bus keeps about inflight
-// messages in flight — and times one of the two phases.  It does so over
-// 4096/inflight buses at once, so that a round moves 4096 messages at
-// every depth and the timer is switched equally often.  ns/msg staying
-// flat from 16 to 4096 in flight is the point.
+// messages in flight — over 4096/inflight buses at once, so that a round
+// moves 4096 messages at every depth.
+type busCrank struct {
+	buses    []*Bus
+	inflight int
+	buf      []Message
+	now      clock.Microticks
+}
+
+func newBusCrank(inflight int) *busCrank {
+	c := &busCrank{buses: make([]*Bus, 4096/inflight), inflight: inflight}
+	for i := range c.buses {
+		c.buses[i] = NewBus(Config{BaseLatency: 10, Jitter: 40, Seed: int64(i + 1)})
+		c.buses[i].SetRoster(ringRoster)
+	}
+	for i := 0; i < 8; i++ { // slabs, rings and buf reach their steady size
+		c.round()
+	}
+	return c
+}
+
+func (c *busCrank) sends() int {
+	for _, bus := range c.buses {
+		for i := 0; i < c.inflight; i++ {
+			bus.SendBatchSite(c.now, core.Site(i%8), core.Site((i+1)%8), nil, 1, 0)
+		}
+	}
+	return len(c.buses) * c.inflight
+}
+
+func (c *busCrank) drains() int {
+	n := 0
+	for _, bus := range c.buses {
+		c.buf = bus.DrainDue(c.now, c.buf[:0])
+		n += len(c.buf)
+	}
+	return n
+}
+
+func (c *busCrank) round() {
+	c.now += 30
+	c.sends()
+	c.drains()
+}
+
+// Once the crank is warm, a round of SendBatchSite and DrainDue calls
+// allocates nothing at any depth in flight.
+func TestBusCrankAllocs(t *testing.T) {
+	for _, inflight := range []int{16, 256, 4096} {
+		c := newBusCrank(inflight)
+		if n := testing.AllocsPerRun(20, c.round); n != 0 {
+			t.Errorf("inflight=%d: %v allocs per round of 4096 sends and drains, want 0", inflight, n)
+		}
+	}
+}
+
+// benchBus times one of busCrank's two phases; the timer is switched
+// equally often at every depth.  ns/msg staying flat from 16 to 4096 in
+// flight is the point.
 func benchBus(b *testing.B, inflight int, timeSends bool) {
 	b.ReportAllocs()
 	b.StopTimer()
-	buses := make([]*Bus, 4096/inflight)
-	for i := range buses {
-		buses[i] = NewBus(Config{BaseLatency: 10, Jitter: 40, Seed: int64(i + 1)})
-		buses[i].SetRoster(ringRoster)
-	}
-	var buf []Message
-	now := clock.Microticks(0)
-	sends := func() int {
-		for _, bus := range buses {
-			for i := 0; i < inflight; i++ {
-				bus.SendBatchSite(now, core.Site(i%8), core.Site((i+1)%8), nil, 1, 0)
-			}
-		}
-		return len(buses) * inflight
-	}
-	drains := func() int {
-		n := 0
-		for _, bus := range buses {
-			buf = bus.DrainDue(now, buf[:0])
-			n += len(buf)
-		}
-		return n
-	}
+	c := newBusCrank(inflight)
 	msgs := 0
 	phase := func(run func() int, timed bool) {
 		if !timed {
@@ -80,18 +113,11 @@ func benchBus(b *testing.B, inflight int, timeSends bool) {
 		b.StopTimer()
 		msgs += n
 	}
-	round := func() {
-		now += 30
-		phase(sends, timeSends)
-		phase(drains, !timeSends)
-	}
-	for i := 0; i < 8; i++ { // slabs, rings and buf reach their steady size
-		round()
-	}
 	b.ResetTimer()
-	msgs = 0
 	for i := 0; i < b.N; i++ {
-		round()
+		c.now += 30
+		phase(c.sends, timeSends)
+		phase(c.drains, !timeSends)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 }

@@ -424,8 +424,40 @@ at=50 kind=release id=5 site=s1 type=A links=9
 	}
 }
 
-// BenchmarkDisabledInstruments pins the acceptance criterion: the
-// disabled metrics/tracing path allocates nothing.
+// TestInstrumentAllocs pins what an instrument call allocates: nothing
+// on the disabled (nil-receiver) path, and nothing on the live
+// single-writer counter and histogram path either.
+func TestInstrumentAllocs(t *testing.T) {
+	var c *Counter
+	var g *Gauge
+	var h *Histogram
+	var tr *Tracer
+	if n := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		c.Add(2)
+		g.Set(3)
+		h.Observe(1)
+		if tr.Active() {
+			t.Fatal("unreachable")
+		}
+		tr.Emit(SpanEvent{Kind: KindSend})
+	}); n != 0 {
+		t.Errorf("disabled path allocates %v per op, want 0", n)
+	}
+	r := NewRegistry()
+	c = r.Counter("ops_total")
+	h = r.Histogram("lat", 8, 64, 512, 4096)
+	i := int64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		i++
+		h.Observe(i & 1023)
+	}); n != 0 {
+		t.Errorf("enabled counters allocate %v per op, want 0", n)
+	}
+}
+
+// BenchmarkDisabledInstruments times the disabled metrics/tracing path.
 func BenchmarkDisabledInstruments(b *testing.B) {
 	var c *Counter
 	var g *Gauge
@@ -441,13 +473,6 @@ func BenchmarkDisabledInstruments(b *testing.B) {
 			b.Fatal("unreachable")
 		}
 		tr.Emit(SpanEvent{ID: 1, At: int64(i), Kind: KindRaise})
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		c.Inc()
-		h.Observe(1)
-		tr.Emit(SpanEvent{Kind: KindSend})
-	}); n != 0 {
-		b.Fatalf("disabled path allocates %v per op", n)
 	}
 }
 
