@@ -3,35 +3,29 @@
 # detector — internal/live, the registry and the clock are used from more
 # than one goroutine, and the occurrence pool's single-owner rule is only
 # checkable there — the pipeline determinism regressions by name so a
-# renamed or skipped test fails loudly, the compiler escape-analysis
-# gate, the exact allocation gates (which need a build without the race
-# detector), and two end-to-end smoke runs.  Performance numbers come
-# from the system benchmark, `go run ./benchmark`, not from this file.
+# renamed or skipped test fails loudly, the exact allocation gates (which
+# need a build without the race detector), and two end-to-end smoke
+# runs.  Performance numbers come from the system benchmark, `go run
+# ./benchmark`, not from this file.
 
 GO ?= go
 LINT := bin/sentinel-lint
 
-.PHONY: ci vet lint build test race determinism obs-determinism trace-overhead escape-gate allocs scale-smoke guard-smoke
+.PHONY: ci vet lint build test race determinism obs-determinism trace-overhead allocs scale-smoke guard-smoke
 
-ci: vet lint build race determinism obs-determinism escape-gate allocs scale-smoke guard-smoke
+ci: vet lint build race determinism obs-determinism allocs scale-smoke guard-smoke
 
 vet:
 	$(GO) vet ./...
 
-# The repo's own analyzer suite (walltime, stampcmp, mapiter, sitemap,
-# stagefx, obsfx, hotalloc — see DESIGN.md "Enforced invariants"),
-# driven through the go vet unit-checker protocol so test variants are
-# covered too and per-package facts flow bottom-up for the
-# interprocedural checks.
+# The repo's own analyzer suite — analyzers.All() in
+# internal/analysis/analyzers, each rule in DESIGN.md §2c — driven
+# through the go vet unit-checker protocol so test variants are covered
+# too and per-package facts flow bottom-up for the interprocedural
+# checks.
 lint:
 	$(GO) build -o $(LINT) ./cmd/sentinel-lint
 	$(GO) vet -vettool=$(LINT) ./...
-
-# Compiler-proven heap escapes in the hot packages, diffed against the
-# committed escape.manifest.  A new or increased escape fails; shrink
-# the manifest with `go run ./cmd/escapegate -update` after reviewing.
-escape-gate:
-	$(GO) run ./cmd/escapegate
 
 build:
 	$(GO) build ./...
@@ -71,7 +65,7 @@ trace-overhead:
 # gates that lean on it skip there and run here without the race
 # detector.  Every named gate must report PASS: a renamed or skipped
 # gate fails this target.
-ALLOC_GATES := TestSetStampAlgebraAllocs|TestPoolCycleAllocs|TestBusCrankAllocs|TestCodecAllocs|TestAppendBatchSteadyStateZeroAlloc|TestNotSpoiledStateAllocs|TestManyDefinitionsAllocs|TestInstrumentAllocs|TestHeartbeatTickZeroAlloc|TestSustainedCrankAllocs|TestAppendAllocs|TestScanAllocs
+ALLOC_GATES := TestSetStampAlgebraAllocs|TestPoolCycleAllocs|TestBusCrankAllocs|TestCodecAllocs|TestAppendBatchSteadyStateZeroAlloc|TestNotSpoiledStateAllocs|TestOperatorAllocs|TestManyDefinitionsAllocs|TestInstrumentAllocs|TestHeartbeatTickZeroAlloc|TestSustainedCrankAllocs|TestAppendAllocs|TestScanAllocs
 ALLOC_PKGS := ./internal/core ./internal/event ./internal/network ./internal/wire \
 	./internal/detector ./internal/obs ./internal/ddetect ./internal/eventlog
 

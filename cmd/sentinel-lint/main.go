@@ -1,31 +1,9 @@
 // Command sentinel-lint is the repo's static-analysis multichecker: it
 // mechanically enforces the determinism and timestamp-semantics
 // invariants the detection engine's correctness argument rests on.  The
-// suite (see internal/analysis/analyzers):
-//
-//	walltime  — no ambient time.Now/time.Since or package-global
-//	            math/rand in simulation and detection code, enforced
-//	            across the call graph via per-function facts
-//	stampcmp  — timestamps compare through the paper's relations
-//	            (Defs. 4.6–4.10, 5.3), never raw </==/… on components
-//	mapiter   — no range-over-map (or calls to functions that
-//	            transitively iterate maps) on the detect/publish path,
-//	            where iteration order leaks into the occurrence stream
-//	hotalloc  — no per-call allocating constructs (fmt, string concat,
-//	            map/slice literals, loop-var closures, stamp boxing) in
-//	            functions reachable from a //sentinel:hotpath root
-//	sitemap   — map[SiteID] keys stay off the hot path (dense core.Site
-//	            roster indexes instead)
-//	stagefx   — bus sends stay in the link coalescer and bus drains in
-//	            the transport stage (PR-4 batching rule)
-//	poolfx    — (*sync.Pool).Put of a struct must zero every slice,
-//	            map and interface field in the recycling function, so
-//	            a recycled object cannot resurrect old state (PR-8
-//	            occurrence-pool rule)
-//	obsfx     — internal/obs sinks are the only observability effects
-//	            in stage context (no fmt/log/os printing), and
-//	            internal/obs itself never imports time or math/rand
-//	            (PR-5 pure-observer rule)
+// suite is analyzers.All() (internal/analysis/analyzers); DESIGN.md §2c
+// states each analyzer's rule and what it has caught, and the usage line
+// prints the names.
 //
 // Both drivers audit the //lint:allow exception list: a directive that
 // suppresses nothing is reported stale.  `sentinel-lint -allows ./...`

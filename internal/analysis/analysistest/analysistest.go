@@ -81,13 +81,15 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 }
 
 // parseWant extracts the expectation from a `// want "re"` comment, nil
-// if the comment is not a want.
+// if the comment is not a want.  The want may trail another line comment
+// (`//sentinel:hotpath // want "re"`), so a directive that is itself the
+// finding can carry its expectation on its own line.
 func parseWant(text string) (*expectation, error) {
-	rest, ok := strings.CutPrefix(text, "// want ")
-	if !ok {
+	i := strings.Index(text, "// want ")
+	if i < 0 {
 		return nil, nil
 	}
-	rest = strings.TrimSpace(rest)
+	rest := strings.TrimSpace(text[i+len("// want "):])
 	quoted, err := strconv.Unquote(rest)
 	if err != nil {
 		return nil, fmt.Errorf("malformed want %s: %v", rest, err)

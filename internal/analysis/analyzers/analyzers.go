@@ -5,7 +5,6 @@ package analyzers
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/mapiter"
 	"repro/internal/analysis/obsfx"
 	"repro/internal/analysis/poolfx"
@@ -22,7 +21,6 @@ func All() []*analysis.Analyzer {
 		walltime.Analyzer,
 		stampcmp.Analyzer,
 		mapiter.Analyzer,
-		hotalloc.Analyzer,
 		strindex.Analyzer,
 		sitemap.Analyzer,
 		stagefx.Analyzer,

@@ -15,8 +15,8 @@
 //
 // A Fact is deliberately a summary, not a proof tree: one provenance
 // string per invariant ("range over map[uint64][]envelope at
-// reorder.go:204", or "calls repro/internal/core.FormatStamps: fmt.Fprintf
-// at stamp.go:180") — enough for an actionable diagnostic at the call
+// reorder.go:204", or "via sim.Tick (sim.go:31): time.Now at
+// clock.go:42") — enough for an actionable diagnostic at the call
 // site that inherits it, cheap enough to serialize for every function in
 // the module.  Functions with an empty Fact are simply absent.
 package facts
@@ -29,13 +29,9 @@ import (
 	"strings"
 )
 
-// MaxAllocs bounds the allocation-provenance list carried per function;
-// one representative per distinct construct is plenty for a diagnostic.
-const MaxAllocs = 4
-
-// Fact is the exported summary of one function.  Empty strings / nil
-// slices mean "no finding"; a non-empty field carries the provenance of
-// one representative violation reachable from the function.
+// Fact is the exported summary of one function.  An empty string means
+// "no finding"; a non-empty field carries the provenance of one
+// representative violation reachable from the function.
 type Fact struct {
 	// Walltime: the function transitively reads ambient time or the
 	// package-global math/rand state.
@@ -43,15 +39,11 @@ type Fact struct {
 	// MapIter: the function transitively ranges over a map (or a map
 	// iterator), so its behaviour can depend on randomized map order.
 	MapIter string `json:"mapiter,omitempty"`
-	// Allocs: representative per-call allocating constructs the function
-	// transitively executes (fmt calls, map/slice literals, string
-	// concatenation, loop-variable closures, stamp boxing).
-	Allocs []string `json:"allocs,omitempty"`
 }
 
 // Empty reports whether the fact carries no finding at all.
 func (f Fact) Empty() bool {
-	return f.Walltime == "" && f.MapIter == "" && len(f.Allocs) == 0
+	return f.Walltime == "" && f.MapIter == ""
 }
 
 // Pkg maps function keys (see Key) to their facts, for one package.
@@ -228,9 +220,6 @@ func (s *Set) Dump() string {
 			}
 			if f.MapIter != "" {
 				parts = append(parts, "mapiter: "+f.MapIter)
-			}
-			for _, a := range f.Allocs {
-				parts = append(parts, "alloc: "+a)
 			}
 			lines = append(lines, fmt.Sprintf("%s.%s\t%s", path, k, strings.Join(parts, "; ")))
 		}

@@ -9,16 +9,15 @@
 //     declared explicitly rather than inferred);
 //   - HotSet closes the //sentinel:hotpath root markers over those local
 //     calls, yielding the functions that inherit the hot-path
-//     discipline;
+//     discipline, and DetachedMarkers finds the marker lines that mark
+//     no function;
 //   - Propagate runs the bottom-up fixpoint that turns direct findings
 //     plus callee facts into per-function summaries, the thing each
 //     analyzer exports for its dependents.
 //
 // The conservatism cuts the sound direction for this suite's use: a
 // dynamic call that escapes the graph can only *hide* a violation, never
-// invent one, and the constructs the analyzers care about on dynamic
-// paths (closures themselves, interface boxing) are flagged directly at
-// the creation site by hotalloc.
+// invent one.
 package interproc
 
 import (
@@ -33,7 +32,7 @@ import (
 
 // HotMarker is the magic comment that declares a function a hot-path
 // root: every function it can reach through static calls inherits the
-// hot-path allocation discipline enforced by the hotalloc analyzer.
+// hot-path discipline of the analyzers that read HotSet.
 const HotMarker = "sentinel:hotpath"
 
 // Call is one statically resolved call site.
@@ -160,12 +159,47 @@ func hasHotMarker(fd *ast.FuncDecl) bool {
 		return false
 	}
 	for _, c := range fd.Doc.List {
-		body := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if body == HotMarker || strings.HasPrefix(body, HotMarker+" ") {
+		if isHotMarker(c) {
 			return true
 		}
 	}
 	return false
+}
+
+func isHotMarker(c *ast.Comment) bool {
+	body := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	return body == HotMarker || strings.HasPrefix(body, HotMarker+" ")
+}
+
+// DetachedMarkers returns the //sentinel:hotpath lines of the pass's
+// non-test files that are not in a function declaration's doc comment —
+// above a declaration of another kind, separated from the function by
+// one, or inside a body.  Such a line marks no root, so without a report
+// the function its author meant would silently fall out of the hot set.
+func DetachedMarkers(pass *analysis.Pass) []token.Pos {
+	var out []token.Pos
+	for _, f := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		attached := make(map[*ast.CommentGroup]bool)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+				attached[fd.Doc] = true
+			}
+		}
+		for _, cg := range f.Comments {
+			if attached[cg] {
+				continue
+			}
+			for _, c := range cg.List {
+				if isHotMarker(c) {
+					out = append(out, c.Pos())
+				}
+			}
+		}
+	}
+	return out
 }
 
 // HotSet closes the package's //sentinel:hotpath roots over local static

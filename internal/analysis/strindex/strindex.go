@@ -8,11 +8,14 @@
 // shed — and it tends to creep back in silently, because a map lookup
 // reads as innocent.
 //
-// The rule is structural, not allocation-based, so hotalloc does not
-// subsume it: m[k] with a string key allocates nothing, and only this
-// analyzer objects.  Name→ID translation is legitimate at the declare/
-// resolve boundary — those sites carry //lint:allow strindex with the
-// reason, and the stale-allow audit keeps the exception list honest.
+// The rule is structural, not allocation-based: m[k] with a string key
+// allocates nothing, so no allocation gate sees it.  Name→ID translation
+// is legitimate at the declare/resolve boundary — those sites carry
+// //lint:allow strindex with the reason, and the stale-allow audit keeps
+// the exception list honest.  A //sentinel:hotpath line that is not in a
+// function's doc comment marks nothing and is reported, the way a stale
+// allow is: otherwise a declaration slipped between the marker and its
+// function disarms the check without a word.
 package strindex
 
 import (
@@ -36,8 +39,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // appliesTo: the packages whose hot roots form the publish/dispatch
-// path.  Deliberately narrower than hotalloc's scope — the discipline is
-// about dispatch structure, and only these two packages own it.
+// path — the discipline is about dispatch structure, and only these two
+// packages own it.
 func appliesTo(path string) bool {
 	path = facts.NormPath(path)
 	for _, p := range []string{
@@ -52,6 +55,9 @@ func appliesTo(path string) bool {
 }
 
 func run(pass *analysis.Pass) error {
+	for _, pos := range interproc.DetachedMarkers(pass) {
+		pass.Reportf(pos, "strindex: //sentinel:hotpath is not in a function's doc comment, so it marks no root; put it directly above the func it means, or delete it")
+	}
 	graph := interproc.Graph(pass)
 	hot := graph.HotSet()
 	for _, n := range graph.Funcs {

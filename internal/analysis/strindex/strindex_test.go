@@ -11,6 +11,10 @@ func TestFixture(t *testing.T) {
 	analysistest.Run(t, Analyzer, filepath.Join("testdata", "strindex"))
 }
 
+func TestDetachedMarker(t *testing.T) {
+	analysistest.Run(t, Analyzer, filepath.Join("testdata", "detached"))
+}
+
 func TestAppliesTo(t *testing.T) {
 	for path, want := range map[string]bool{
 		"repro/internal/detector":          true,

@@ -67,7 +67,6 @@ func (m TruncMode) String() string {
 // function is consistent over the whole time line.
 func (m TruncMode) Trunc(t Microticks, g Microticks) int64 {
 	if g <= 0 {
-		//lint:allow hotalloc — panic message on a configuration bug; the formatting never runs on a valid granularity
 		panic(fmt.Sprintf("clock: non-positive granularity %d", g))
 	}
 	switch m {
@@ -81,7 +80,6 @@ func (m TruncMode) Trunc(t Microticks, g Microticks) int64 {
 		}
 		return ceilDiv(t-g/2, g)
 	default:
-		//lint:allow hotalloc — panic message on a configuration bug; the formatting never runs on a valid mode
 		panic(fmt.Sprintf("clock: unknown trunc mode %d", int(m)))
 	}
 }

@@ -152,8 +152,6 @@ func crossAbove(a *crossAgg, site SiteID, bound int64) bool {
 // the witness, if any, is either s's component at t2's site with a smaller
 // local tick, or any cross-site component with global < t2.Global − 1;
 // the latter exists iff the cross-site minimum does.
-//
-//sentinel:hotpath
 func lessMerge(s, u SetStamp) bool {
 	agg := aggregateStrict(s)
 	i := 0
@@ -177,8 +175,6 @@ func lessMerge(s, u SetStamp) bool {
 // (equal locals); a cross-site pair iff the globals are within one
 // granule, so it suffices that no cross-site extreme of s breaks the band
 // around each t2.  Both inputs must be siteStrict and non-empty.
-//
-//sentinel:hotpath
 func concurrentMerge(s, u SetStamp) bool {
 	agg := aggregateStrict(s)
 	i := 0
@@ -202,8 +198,6 @@ func concurrentMerge(s, u SetStamp) bool {
 // weakLEMerge is Definition 5.4 — ∀∀ t1 ⪯ t2, equivalently no pair with
 // t2 < t1 (Proposition 4.2(4)) — in one merge pass over s against the
 // aggregate of u.  Both inputs must be siteStrict and non-empty.
-//
-//sentinel:hotpath
 func weakLEMerge(s, u SetStamp) bool {
 	agg := aggregateStrict(u)
 	j := 0
@@ -234,8 +228,6 @@ func crossDominated(t Stamp, agg *crossAgg) bool {
 // directly (no sort, no dedup pass): a component is dropped iff the other
 // set's component at the same site has a larger local tick, or the other
 // set's cross-site maximum exceeds its global by more than one granule.
-//
-//sentinel:hotpath
 func unionDominantMerge(dst, a, b SetStamp) SetStamp {
 	aggA, aggB := aggregateStrict(a), aggregateStrict(b)
 	i, j := 0, 0

@@ -74,7 +74,6 @@ func (r *Roster) Site(id SiteID) Site {
 func (r *Roster) MustSite(id SiteID) Site {
 	s, ok := r.idx[id]
 	if !ok {
-		//lint:allow hotalloc — panic message on a membership bug the caller promised away; the formatting never runs on a valid ID
 		panic(fmt.Sprintf("core: site %q not in roster", id))
 	}
 	return s

@@ -97,8 +97,6 @@ func rcrossDominated(t RStamp, agg *rcrossAgg) bool {
 // Less is SetStamp.Less (Definition 5.3(2)) on interned sets: ∀ t2 ∈ u
 // ∃ t1 ∈ s with t1 < t2, evaluated as one integer-only merge pass.  Both
 // inputs must have the canonical valid shape (see the type comment).
-//
-//sentinel:hotpath
 func (s RSetStamp) Less(u RSetStamp) bool {
 	if len(s) == 0 || len(u) == 0 {
 		return false
@@ -125,8 +123,6 @@ func (s RSetStamp) Less(u RSetStamp) bool {
 
 // ConcurrentWith is SetStamp.ConcurrentWith (Definition 5.3(1)) on
 // interned sets: all cross-set pairs concurrent, in one merge pass.
-//
-//sentinel:hotpath
 func (s RSetStamp) ConcurrentWith(u RSetStamp) bool {
 	if len(s) == 0 || len(u) == 0 {
 		return false
@@ -155,8 +151,6 @@ func (s RSetStamp) ConcurrentWith(u RSetStamp) bool {
 
 // WeakLE is SetStamp.WeakLE ("⪯", Definition 5.4) on interned sets: no
 // pair with t2 < t1, in one merge pass over s against the aggregate of u.
-//
-//sentinel:hotpath
 func (s RSetStamp) WeakLE(u RSetStamp) bool {
 	if len(s) == 0 || len(u) == 0 {
 		return false
@@ -204,8 +198,6 @@ func (s RSetStamp) MaxGlobalComponent() RStamp {
 // interning preserves site order, the result materializes (via
 // Roster.AppendStamps) to exactly the set MaxInto produces on the string
 // forms.
-//
-//sentinel:hotpath
 func RMaxInto(dst, a, b RSetStamp) RSetStamp {
 	dst = dst[:0]
 	switch {

@@ -165,7 +165,7 @@ func (s SetStamp) Sites() []SiteID {
 // component sites to dst and returns the extended slice, allocating only
 // when dst's capacity runs out.  Diagnostic accessors on release/detect
 // paths use this form so a reused scratch buffer makes the per-event cost
-// zero allocations (hotalloc audit, PR 8).
+// zero allocations.
 func (s SetStamp) AppendSites(dst []SiteID) []SiteID {
 	for _, t := range s {
 		dst = append(dst, t.Site)

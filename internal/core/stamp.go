@@ -34,8 +34,6 @@ type Stamp struct {
 }
 
 // String renders the stamp as the paper's triple, e.g. "(k, 9154827, 91548276)".
-//
-//lint:allow hotalloc — rendering is inherently allocating; hot paths only format behind an Active() tracer gate or on error
 func (t Stamp) String() string {
 	return fmt.Sprintf("(%s, %d, %d)", string(t.Site), t.Global, t.Local)
 }
@@ -180,8 +178,6 @@ func SortCanonical(ts []Stamp) {
 
 // FormatStamps renders a slice of stamps as the paper writes composite
 // timestamps: "{(k, 9154827, 91548276), (m, 9154827, 91548277)}".
-//
-//lint:allow hotalloc — rendering is inherently allocating; hot paths only format behind an Active() tracer gate or on error
 func FormatStamps(ts []Stamp) string {
 	var b strings.Builder
 	b.WriteByte('{')

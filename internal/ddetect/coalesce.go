@@ -128,8 +128,6 @@ func (c *linkCoalescer) seal(sites int, sinks []*Site) {
 // transport's Retain lives here and is dropped wherever the envelope's
 // journey ends (the detect stage after dispatch for in-memory payloads,
 // the serializing flush after encoding).
-//
-//sentinel:hotpath
 func (c *linkCoalescer) add(from, to core.Site, env wire.Envelope) {
 	if env.Kind == wire.KindEvent {
 		env.Occ.Retain()
@@ -157,8 +155,6 @@ func (c *linkCoalescer) push(lb *linkBatch, env wire.Envelope) {
 // earlier heartbeat of the same flush (a Step longer than the heartbeat
 // period) is spilled into the run first, so the link carries every
 // heartbeat, in order, as it always has.
-//
-//sentinel:hotpath
 func (c *linkCoalescer) heartbeat(from core.Site, global int64, at clock.Microticks) int {
 	row := c.links[from]
 	n := 0
@@ -217,10 +213,8 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 				if !sys.cfg.Serialize {
 					return envs[i]
 				}
-				//lint:allow hotalloc — the encoded frame IS the message payload handed to the bus; its allocation is the product of serialization
 				buf, err := sys.codec.Encode(envs[i])
 				if err != nil {
-					//lint:allow hotalloc — panic message on an unencodable envelope; never formats on the steady path
 					panic(fmt.Sprintf("ddetect: envelope not encodable: %v", err))
 				}
 				return buf
@@ -234,10 +228,8 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 			c.recycleEnvs(envs)
 		case sys.cfg.Serialize:
 			fr := c.getFrame()
-			//lint:allow hotalloc — AppendBatch allocates only on its error path (unencodable batch), and the panic below formats only then
 			buf, err := sys.codec.AppendBatch(fr.buf[:0], envs)
 			if err != nil {
-				//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
 				panic(fmt.Sprintf("ddetect: batch not encodable: %v", err))
 			}
 			fr.buf = buf
@@ -261,8 +253,6 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 // bus message of one envelope, as the general path would send it — the
 // same draw, the same sequence number, serialized the same bytes — built
 // from the link's two integers alone.
-//
-//sentinel:hotpath
 func (c *linkCoalescer) sendFrontier(now clock.Microticks, lb *linkBatch) {
 	sys := c.sys
 	if !sys.cfg.Serialize {
@@ -270,10 +260,8 @@ func (c *linkCoalescer) sendFrontier(now clock.Microticks, lb *linkBatch) {
 		return
 	}
 	fr := c.getFrame()
-	//lint:allow hotalloc — AppendFrontier fails only on an incomplete codec, and the panic below formats only then
 	buf, err := sys.codec.AppendFrontier(fr.buf[:0], lb.global, lb.at)
 	if err != nil {
-		//lint:allow hotalloc — panic message on a codec seal never built; never formats on the steady path
 		panic(fmt.Sprintf("ddetect: frontier not encodable: %v", err))
 	}
 	fr.buf = buf

@@ -145,7 +145,6 @@ func (r *reorderer) siteID(from core.Site) core.SiteID {
 	if r.roster != nil && from >= 0 && int(from) < r.roster.Len() {
 		return r.roster.ID(from)
 	}
-	//lint:allow hotalloc — fallback rendering for error messages only; every accepted message resolves through the roster above
 	return core.SiteID(fmt.Sprintf("#%d", from))
 }
 
@@ -154,19 +153,16 @@ func (r *reorderer) siteID(from core.Site) core.SiteID {
 func (r *reorderer) source(from core.Site, seq uint64) (*sourceState, error) {
 	i := r.slot(from)
 	if i < 0 {
-		//lint:allow hotalloc — error path: a protocol violation (unknown source) terminates the run, so its formatting cost is irrelevant
 		return nil, fmt.Errorf("ddetect: message from unknown source %q", r.siteID(from))
 	}
 	st := &r.sources[i]
 	if seq < st.nextSeq {
-		//lint:allow hotalloc — error path: duplicate sequence numbers are protocol violations, never the steady state
 		return nil, fmt.Errorf("ddetect: duplicate seq %d from %q (next %d)", seq, r.siteID(from), st.nextSeq)
 	}
 	// A source with nothing buffered — nearly every arrival's — is not
 	// worth a hash into its nil or emptied map.
 	if len(st.pending) > 0 {
 		if _, dup := st.pending[seq]; dup {
-			//lint:allow hotalloc — error path: duplicate buffered sequences are protocol violations, never the steady state
 			return nil, fmt.Errorf("ddetect: duplicate buffered seq %d from %q", seq, r.siteID(from))
 		}
 	}
@@ -176,8 +172,6 @@ func (r *reorderer) source(from core.Site, seq uint64) (*sourceState, error) {
 // accept ingests a single-envelope message from a source with its link
 // sequence number, draining any in-order run it completes.  The common
 // in-order case bypasses the pending map entirely.
-//
-//sentinel:hotpath
 func (r *reorderer) accept(from core.Site, seq uint64, env wire.Envelope) error {
 	st, err := r.source(from, seq)
 	if err != nil {
@@ -189,7 +183,6 @@ func (r *reorderer) accept(from core.Site, seq uint64, env wire.Envelope) error 
 		r.drain(st)
 		return nil
 	}
-	//lint:allow hotalloc — the pending run is retained until the sequence gap fills; the buffer is the point of the reorderer
 	r.buffer(st, seq, []wire.Envelope{env})
 	return nil
 }
@@ -199,8 +192,6 @@ func (r *reorderer) accept(from core.Site, seq uint64, env wire.Envelope) error 
 // in-order case ingests straight from the caller's slice, which the
 // caller may recycle as soon as acceptBatch returns; only an out-of-order
 // arrival copies the run into an owned buffer.
-//
-//sentinel:hotpath
 func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []wire.Envelope) error {
 	st, err := r.source(from, seq)
 	if err != nil {
@@ -223,8 +214,6 @@ func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []wire.Envelope
 // nominal instant at.  It is accept for that envelope without the envelope:
 // the same screening, the same buffering of an out-of-order arrival (as the
 // one-envelope run it is), the same drain behind an in-order one.
-//
-//sentinel:hotpath
 func (r *reorderer) acceptFrontier(from core.Site, seq uint64, global int64, at clock.Microticks) error {
 	st, err := r.source(from, seq)
 	if err != nil {
@@ -236,7 +225,6 @@ func (r *reorderer) acceptFrontier(from core.Site, seq uint64, global int64, at 
 		r.drain(st)
 		return nil
 	}
-	//lint:allow hotalloc — the pending run is retained until the sequence gap fills; the buffer is the point of the reorderer
 	r.buffer(st, seq, []wire.Envelope{{Kind: wire.KindHeartbeat, Global: global, RaisedAt: at}})
 	return nil
 }
@@ -248,7 +236,6 @@ func (r *reorderer) acceptFrontier(from core.Site, seq uint64, global int64, at 
 //go:noinline
 func (r *reorderer) buffer(st *sourceState, seq uint64, run []wire.Envelope) {
 	if st.pending == nil {
-		//lint:allow hotalloc — lazy one-time map per source, only materialized the first time that source delivers out of order
 		st.pending = make(map[uint64][]wire.Envelope)
 	}
 	st.pending[seq] = run
@@ -395,8 +382,6 @@ func (m ReleaseMode) slack() int64 {
 // grown.  This is what shards the crank's release scan — of thousands of
 // sites, only the ones with fresh arrivals or watermark movement do any
 // work, and only they consult the frontier vector.
-//
-//sentinel:hotpath
 func (r *reorderer) releaseInto(mode ReleaseMode, dst []wire.Envelope) []wire.Envelope {
 	if !r.stale || len(r.ready) == 0 {
 		return dst
@@ -435,8 +420,6 @@ type key struct {
 // roster map lookup; the two paths agree because interning preserves
 // SiteID order and the component selection rule is identical
 // (TestRSetStampMaxGlobalComponent pins it against the string form).
-//
-//sentinel:hotpath
 func (r *reorderer) releaseKey(o *event.Occurrence, arrival uint64) key {
 	if len(o.Interned) > 0 {
 		best := o.Interned.MaxGlobalComponent()

@@ -78,8 +78,6 @@ func (st *ingestStage) Name() string { return "ingest" }
 // heartbeats) leaves as one batch per link.  Per-link order is raises
 // first, heartbeats second, exactly the per-link send order of the
 // unbatched transport.
-//
-//sentinel:hotpath
 func (st *ingestStage) Tick(now clock.Microticks) int {
 	sys := st.sys
 	n := st.raised
@@ -220,8 +218,6 @@ func (st *transportStage) Name() string { return "transport" }
 
 // Tick drains due messages into per-site reorderers; the count it reports
 // is envelopes, not bus messages.
-//
-//sentinel:hotpath
 func (st *transportStage) Tick(now clock.Microticks) int {
 	sys := st.sys
 	st.now = now
@@ -233,7 +229,6 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 		// seal, before any traffic); resolving the destination is one
 		// slice index, no string hash.
 		if m.ToSite < 0 || int(m.ToSite) >= len(sys.sites) {
-			//lint:allow hotalloc — panic message on a routing bug; never formats on the steady path
 			panic(fmt.Sprintf("ddetect: message to unknown site index %d", m.ToSite))
 		}
 		dst := sys.sites[m.ToSite]
@@ -253,9 +248,7 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 				n++
 			} else {
 				st.decoded = st.decoded[:0]
-				//lint:allow hotalloc — DecodeBatch allocates only when rejecting a corrupt frame, and the panic below formats only then
 				if err := sys.codec.DecodeBatch(p.buf, st.appendDecoded); err != nil {
-					//lint:allow hotalloc — panic message on a corrupt batch; never formats on the steady path
 					panic(fmt.Sprintf("ddetect: corrupt batch: %v", err))
 				}
 				st.acceptRun(dst, m.FromSite, m.Seq, st.decoded)
@@ -264,10 +257,8 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 			}
 			sys.coal.recycleFrame(p)
 		case []byte:
-			//lint:allow hotalloc — Decode allocates only when rejecting a corrupt frame, and the panic below formats only then
 			env, err := sys.codec.Decode(p)
 			if err != nil {
-				//lint:allow hotalloc — panic message on a corrupt envelope; never formats on the steady path
 				panic(fmt.Sprintf("ddetect: corrupt envelope: %v", err))
 			}
 			st.acceptOne(dst, m.FromSite, m.Seq, env)
@@ -276,7 +267,6 @@ func (st *transportStage) Tick(now clock.Microticks) int {
 			st.acceptOne(dst, m.FromSite, m.Seq, p)
 			n++
 		default:
-			//lint:allow hotalloc — panic message on an impossible payload type; never formats on the steady path
 			panic(fmt.Sprintf("ddetect: unexpected payload type %T", p))
 		}
 		m.Payload = nil
@@ -329,8 +319,6 @@ func (st *transportStage) acceptOne(dst *Site, from core.Site, seq uint64, env w
 // decision is a pure function of raise identity, so recomputing it here
 // yields the bit the origin stamped), and the recv span, the one place
 // the sender's index is resolved back to a name.
-//
-//sentinel:hotpath
 func (sys *System) acceptEvent(occ *event.Occurrence, dst *Site, from core.Site, now clock.Microticks) {
 	if occ.Sample == event.SampleUndecided && sys.smp != nil {
 		sys.decideSample(occ)
@@ -355,8 +343,6 @@ type releaseStage struct {
 func (st *releaseStage) Name() string { return "release" }
 
 // Tick releases watermark-stable events into the detect inboxes.
-//
-//sentinel:hotpath
 func (st *releaseStage) Tick(now clock.Microticks) int {
 	sys := st.sys
 	n := 0
@@ -397,7 +383,6 @@ type detectStage struct {
 
 func (st *detectStage) Name() string { return "detect" }
 
-//sentinel:hotpath
 func (st *detectStage) Tick(now clock.Microticks) int {
 	n := 0
 	for _, s := range st.sys.sites {
@@ -437,7 +422,6 @@ type publishStage struct {
 
 func (st *publishStage) Name() string { return "publish" }
 
-//sentinel:hotpath
 func (st *publishStage) Tick(now clock.Microticks) int {
 	sys := st.sys
 	n := 0

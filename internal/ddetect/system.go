@@ -524,8 +524,6 @@ func (sys *System) collectMetrics(emit func(name string, value float64)) {
 
 // defFor returns the record of the definition o is a detection of, or
 // the inert noDef.
-//
-//sentinel:hotpath
 func (sys *System) defFor(o *event.Occurrence) *defRecord {
 	if id := int(o.TypeID); uint(id) < uint(len(sys.defByID)) && sys.defByID[id] != nil {
 		return sys.defByID[id]
@@ -557,8 +555,6 @@ func legFor(from, to event.StageMark) StageLeg {
 // crank goroutine only (ingest raise, coalescer flush, transport accept,
 // release accounting), so the leg aggregates are single-writer like
 // every other Stats counter.
-//
-//sentinel:hotpath
 func (sys *System) mark(o *event.Occurrence, m event.StageMark, now clock.Microticks) {
 	if leg := legFor(o.Mark, m); leg < numLegs {
 		d := now - clock.Microticks(o.MarkAt)
@@ -580,8 +576,6 @@ func (sys *System) mark(o *event.Occurrence, m event.StageMark, now clock.Microt
 // histogram h (nil, a no-op, without metrics).  Constituent marks are left
 // untouched: a constituent a Recent context reuses is attributed once
 // per detection it participates in, each time from its release instant.
-//
-//sentinel:hotpath
 func (sys *System) observeHold(o *event.Occurrence, h *obs.Histogram, now clock.Microticks) {
 	for _, c := range o.Constituents {
 		if c.Mark != event.MarkRelease {
@@ -608,8 +602,6 @@ func (sys *System) observeHold(o *event.Occurrence, h *obs.Histogram, now clock.
 // thinned further by a hash of the detection's own identity.  Callers
 // gate on sys.smp != nil; the result is also stamped on o so each
 // occurrence is decided once.
-//
-//sentinel:hotpath
 func (sys *System) decideSample(o *event.Occurrence) event.SampleState {
 	if o.Sample != event.SampleUndecided {
 		return o.Sample

@@ -47,6 +47,82 @@ func TestNotSpoiledStateAllocs(t *testing.T) {
 	}
 }
 
+// TestOperatorAllocs pins what one publish cycle costs each operator node
+// in each parameter context, exactly: a new allocation in a node's child
+// handler moves its count.  Every cycle publishes pooled primitives 10
+// global ticks apart at one site, so each cycle meets the state the
+// previous one left.  Unrestricted SEQ, AND, NOT and ANY are left out:
+// they pair every terminator with every retained initiator, so their state
+// (265–530 entries after warm-up) and their count grow with each cycle and
+// have no fixed value.  P, P* and PLUS are left out because no workload
+// defines them.
+func TestOperatorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats sync.Pool caching")
+	}
+	type cell struct {
+		ctx    Context
+		allocs float64
+	}
+	every := func(allocs float64) []cell {
+		var cells []cell
+		for _, ctx := range Contexts() {
+			cells = append(cells, cell{ctx, allocs})
+		}
+		return cells
+	}
+	bounded := func(recent, chronicle, continuous, cumulative float64) []cell {
+		return []cell{{Recent, recent}, {Chronicle, chronicle}, {Continuous, continuous}, {Cumulative, cumulative}}
+	}
+	for _, tc := range []struct {
+		expr  string
+		cycle []string
+		cells []cell
+	}{
+		{"A ; B", []string{"A", "B"}, bounded(0, 0, 0, 1)},
+		{"A AND B", []string{"A", "B"}, bounded(0, 0, 0, 1)},
+		{"NOT(C)[A, D]", []string{"A", "D"}, bounded(0, 0, 0, 1)},
+		{"A OR B", []string{"A"}, every(0)},
+		{"ANY(2, A, B, C)", []string{"A", "B"}, bounded(8, 4, 4, 4)},
+		{"A(A, B, C)", []string{"A", "B", "C"}, every(1)},
+		{"A*(A, B, C)", []string{"A", "B", "C"}, every(3)},
+	} {
+		for _, c := range tc.cells {
+			d, pool, roster := pooledDetector(t, []core.SiteID{"s1"}, []string{"A", "B", "C", "D"}, tc.expr, c.ctx)
+			fired := 0
+			d.Subscribe("X", func(*event.Occurrence) { fired++ })
+			s1, local := roster.MustSite("s1"), int64(0)
+			cycle := func() {
+				for _, typ := range tc.cycle {
+					local += 10 * tRatio
+					o := pool.GetPrimitive(typ, event.Explicit, core.DeriveStamp("s1", local, tRatio), s1, nil)
+					d.Publish(o)
+					o.Release()
+				}
+			}
+			const warm, runs = 64, 200
+			for i := 0; i < warm; i++ {
+				cycle()
+			}
+			before := fired
+			n := testing.AllocsPerRun(runs, cycle)
+			if n != c.allocs {
+				t.Errorf("%s %v: %v allocs per cycle, want %v", tc.expr, c.ctx, n, c.allocs)
+			}
+			// Recent keeps the last A and the last B, so each arrival
+			// pairs with the retained partner: two detections a cycle.
+			want := 1
+			if c.ctx == Recent && (tc.expr == "A AND B" || tc.expr == "ANY(2, A, B, C)") {
+				want = 2
+			}
+			// AllocsPerRun makes one warm-up call of its own.
+			if got, cycles := fired-before, runs+1; got != want*cycles {
+				t.Errorf("%s %v: %d detections in %d cycles, want %d a cycle", tc.expr, c.ctx, got, cycles, want)
+			}
+		}
+	}
+}
+
 // BenchmarkNotSpoiledState measures what one terminator of Chronicle
 // NOT(C)[A, D] costs against `state` retained spoiled initiators.  The
 // first-follower index answers each initiator with one comparison, so

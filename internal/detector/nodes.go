@@ -164,7 +164,6 @@ func (n *binaryNode) onSeq(idx int, o *event.Occurrence) {
 		}
 		n.buf[0] = removeIndices(n.buf[0], eligible)
 	case Cumulative:
-		//lint:allow hotalloc — the constituents slice is retained by the emitted occurrence (or copied into pooled storage); the allocation is the product, not garbage
 		constituents := make([]*event.Occurrence, 0, len(eligible)+1)
 		for _, i := range eligible {
 			constituents = append(constituents, n.buf[0][i])
@@ -215,7 +214,6 @@ func (n *binaryNode) onAnd(idx int, o *event.Occurrence) {
 		n.buf[other] = releaseAll(n.buf[other])
 	case Cumulative:
 		others := n.buf[other]
-		//lint:allow hotalloc — the constituents slice is retained by the emitted occurrence (or copied into pooled storage); the allocation is the product, not garbage
 		constituents := make([]*event.Occurrence, 0, len(others)+1)
 		if idx == 1 {
 			constituents = append(append(constituents, others...), o)
@@ -340,7 +338,6 @@ func (n *anyNode) emitCombo(o childOcc, sel []int) {
 	if cap(n.combo) < n.m {
 		// Pre-size so recursive appends never outgrow the scratch (depth
 		// is at most m), which would silently drop the reuse.
-		//lint:allow hotalloc — scratch grown once to m and reused across every later emission
 		n.combo = make([]childOcc, 0, n.m)
 	}
 	n.emitCombos(o, sel, 0, n.combo[:0])
@@ -368,7 +365,6 @@ func (n *anyNode) emitCombos(o childOcc, sel []int, depth int, acc []childOcc) {
 // by buffer order) for deterministic parameter lists.
 func (n *anyNode) emitOrdered(sel []childOcc) {
 	sort.SliceStable(sel, func(i, j int) bool { return sel[i].c < sel[j].c })
-	//lint:allow hotalloc — the constituents slice is retained by the emitted occurrence (or copied into pooled storage); the allocation is the product, not garbage
 	constituents := make([]*event.Occurrence, len(sel))
 	for i, s := range sel {
 		constituents[i] = s.occ
@@ -390,7 +386,6 @@ func choose(scratch []int, items []int, k int, fn func([]int)) []int {
 		return scratch
 	}
 	if cap(scratch) < k {
-		//lint:allow hotalloc — scratch grown once to k and returned to the caller for reuse across combinations
 		scratch = make([]int, 0, k)
 	}
 	sel := scratch[:0]
@@ -500,7 +495,6 @@ func (n *notNode) onChild(idx int, o *event.Occurrence) {
 			}
 			n.consume(eligible)
 		case Cumulative:
-			//lint:allow hotalloc — the constituents slice is retained by the emitted occurrence (or copied into pooled storage); the allocation is the product, not garbage
 			constituents := make([]*event.Occurrence, 0, len(eligible)+1)
 			for _, i := range eligible {
 				constituents = append(constituents, n.inits[i])
@@ -688,14 +682,12 @@ func (n *aperiodicNode) onChild(idx int, o *event.Occurrence) {
 			for _, w := range ws {
 				size += len(w.acc)
 			}
-			//lint:allow hotalloc — the constituents slice is retained by the emitted occurrence (or copied into pooled storage); the allocation is the product, not garbage
 			constituents := make([]*event.Occurrence, 0, size)
 			for _, w := range ws {
 				constituents = append(constituents, w.init)
 			}
 			var seen map[*event.Occurrence]bool
 			if len(ws) > 1 {
-				//lint:allow hotalloc — dedup map only when Cumulative merges several windows into one composite; one window cannot list an E2 twice
 				seen = make(map[*event.Occurrence]bool)
 			}
 			for _, w := range ws {
@@ -819,7 +811,6 @@ func (n *periodicNode) scheduleTick(w *pWindow, due clock.Microticks) {
 			return
 		}
 		w.ticks++
-		//lint:allow hotalloc — the count parameter map is retained by the emitted tick occurrence; the allocation is the product, not garbage
 		params := event.Params{"count": w.ticks}
 		// Ticks are plain heap occurrences (not pooled): their lifetime is
 		// the emitted composite's, and temporal firings are orders of

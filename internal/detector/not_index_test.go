@@ -73,7 +73,6 @@ func (n *oracleNotNode) onChild(idx int, o *event.Occurrence) {
 			n.inits = removeIndices(n.inits, eligible)
 			n.pruneE2s()
 		case Cumulative:
-			//lint:allow hotalloc — the constituents slice is retained by the emitted occurrence (or copied into pooled storage); the allocation is the product, not garbage
 			constituents := make([]*event.Occurrence, 0, len(eligible)+1)
 			for _, i := range eligible {
 				constituents = append(constituents, n.inits[i])

@@ -224,8 +224,6 @@ type Occurrence struct {
 }
 
 // NewPrimitive builds a primitive occurrence from a single stamp.
-//
-//lint:allow hotalloc — the occurrence and its singleton stamp are the product of a raise; their allocation is inherent, not hot-path garbage
 func NewPrimitive(typ string, class Class, stamp core.Stamp, params Params) *Occurrence {
 	return &Occurrence{
 		Type:   typ,
@@ -246,8 +244,6 @@ func NewPrimitive(typ string, class Class, stamp core.Stamp, params Params) *Occ
 // constituent's stamp instead of cloning it, and the multi-constituent
 // case allocates only the folded results.  This is the innermost
 // allocation site of the whole detection engine.
-//
-//lint:allow hotalloc — the composite occurrence and its folded stamp are the product of detection; their allocation is inherent, not hot-path garbage
 func NewComposite(typ string, site core.SiteID, constituents ...*Occurrence) *Occurrence {
 	if len(constituents) == 0 {
 		panic("event: composite occurrence with no constituents")

@@ -110,8 +110,6 @@ func (p *Pool) Stats() PoolStats {
 // get pops a recycled occurrence — from the front array, then from the
 // sync.Pool — or allocates a fresh one; either way the result carries the
 // creator's reference.
-//
-//lint:allow hotalloc — the pool-miss fallback is the one allocation the pool exists to amortize; steady state never takes it
 func (p *Pool) get() *Occurrence {
 	p.gets++
 	var o *Occurrence

@@ -109,7 +109,6 @@ func (q *calendar) push(sentAt, deliverAt clock.Microticks) *Message {
 func (q *calendar) advance(now clock.Microticks) {
 	if q.n > 0 {
 		if now < q.lo {
-			//lint:allow hotalloc — formats only when the caller broke the instants contract
 			panic(fmt.Sprintf("network: send at instant %d with %d messages in flight and the bus already at %d", now, q.n, q.lo))
 		}
 		mask := len(q.ring) - 1
@@ -140,7 +139,6 @@ func (q *calendar) grow(delay clock.Microticks) {
 	for clock.Microticks(size) <= delay {
 		size *= 2
 	}
-	//lint:allow hotalloc — the ring grows only when a drawn delay exceeds every earlier one; steady state never gets here
 	ring := make([]chain, size)
 	for _, c := range q.ring {
 		if c.head != 0 {

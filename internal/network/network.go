@@ -213,8 +213,6 @@ func (b *Bus) file(from, to core.Site, seq uint64, now, delay clock.Microticks, 
 // container — a slice or an encoded batch frame of bytes bytes; pass
 // bytes 0 for in-memory payloads).  The batch consumes exactly one
 // latency/jitter/loss draw: it models one physical frame on the link.
-//
-//sentinel:hotpath
 func (b *Bus) SendBatchSite(now clock.Microticks, from, to core.Site, payload any, envelopes, bytes int) Message {
 	ls := b.link(from, to)
 	delay, attempts := b.draw()
@@ -243,8 +241,6 @@ func (b *Bus) SendBatchSite(now clock.Microticks, from, to core.Site, payload an
 // framing, same deterministic delivery order, so detection results can
 // be compared byte for byte.  A []byte payload counts its length as
 // payload bytes.  payloadAt must not call back into the Bus.
-//
-//sentinel:hotpath
 func (b *Bus) SendUnbatchedSite(now clock.Microticks, from, to core.Site, n int, payloadAt func(int) any) {
 	if n <= 0 {
 		return
@@ -273,8 +269,6 @@ func (b *Bus) SendUnbatchedSite(now clock.Microticks, from, to core.Site, n int,
 // DrainDue removes every message due at or before now, in deterministic
 // (DeliverAt, send order) order, appending to buf (pass the previous
 // tick's slice, resliced to zero length, to reuse its backing array).
-//
-//sentinel:hotpath
 func (b *Bus) DrainDue(now clock.Microticks, buf []Message) []Message {
 	had := len(buf)
 	buf = b.queue.drain(now, buf)

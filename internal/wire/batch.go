@@ -38,7 +38,6 @@ func (c *Codec) AppendBatch(dst []byte, envs []Envelope) ([]byte, error) {
 		return nil, errors.New("wire: empty batch")
 	}
 	if len(envs) > maxBatch {
-		//lint:allow hotalloc — error path: oversized batches are a caller bug, never the steady state
 		return nil, fmt.Errorf("wire: batch of %d envelopes exceeds %d", len(envs), maxBatch)
 	}
 	dst = append(dst, KindBatch)
@@ -129,7 +128,6 @@ func (c *Codec) DecodeBatch(buf []byte, fn func(Envelope) error) error {
 		return err
 	}
 	if kind != KindBatch {
-		//lint:allow hotalloc — error path: rejecting a non-batch frame; never formats on valid input
 		return fmt.Errorf("%w: kind %d is not a batch frame", ErrBadTag, kind)
 	}
 	n, err := r.uvarint()

@@ -159,8 +159,6 @@ func (c *Codec) EncodeAppend(dst []byte, e Envelope) ([]byte, error) {
 }
 
 // Encode is the allocating form of EncodeAppend.
-//
-//lint:allow hotalloc — the encoded frame is the product handed to the transport; callers that can reuse buffers use EncodeAppend
 func (c *Codec) Encode(e Envelope) ([]byte, error) {
 	return c.EncodeAppend(make([]byte, 0, 64), e)
 }
@@ -363,7 +361,6 @@ func (c *Codec) envelope(r *reader) (Envelope, error) {
 		// batches go through DecodeBatch and never nest.
 		return Envelope{}, ErrNestedBatch
 	default:
-		//lint:allow hotalloc — error path: corrupt-input rejection; never formats on valid frames
 		return Envelope{}, fmt.Errorf("%w: envelope kind %d", ErrBadTag, kind)
 	}
 	raisedAt, err := r.varint()
@@ -387,7 +384,6 @@ func (c *Codec) envelope(r *reader) (Envelope, error) {
 		e.Occ = o
 	}
 	if r.pos != len(r.buf) {
-		//lint:allow hotalloc — error path: corrupt-input rejection; never formats on valid frames
 		return Envelope{}, fmt.Errorf("wire: %d trailing bytes", len(r.buf)-r.pos)
 	}
 	return e, nil
