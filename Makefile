@@ -65,7 +65,7 @@ trace-overhead:
 # gates that lean on it skip there and run here without the race
 # detector.  Every named gate must report PASS: a renamed or skipped
 # gate fails this target.
-ALLOC_GATES := TestSetStampAlgebraAllocs|TestPoolCycleAllocs|TestBusCrankAllocs|TestCodecAllocs|TestAppendBatchSteadyStateZeroAlloc|TestNotSpoiledStateAllocs|TestOperatorAllocs|TestManyDefinitionsAllocs|TestInstrumentAllocs|TestHeartbeatTickZeroAlloc|TestSustainedCrankAllocs|TestAppendAllocs|TestScanAllocs
+ALLOC_GATES := TestSetStampAlgebraAllocs|TestPoolCycleAllocs|TestBusCrankAllocs|TestCodecAllocs|TestAppendBatchSteadyStateZeroAlloc|TestNotSpoiledStateAllocs|TestOperatorAllocs|TestManyDefinitionsAllocs|TestInstrumentAllocs|TestHeartbeatTickZeroAlloc|TestReorderAllocs|TestSustainedCrankAllocs|TestAppendAllocs|TestScanAllocs
 ALLOC_PKGS := ./internal/core ./internal/event ./internal/network ./internal/wire \
 	./internal/detector ./internal/obs ./internal/ddetect ./internal/eventlog
 

@@ -234,7 +234,7 @@ func (c *linkCoalescer) flush(now clock.Microticks) {
 			}
 			fr.buf = buf
 			sys.bus.SendBatchSite(now, lb.from, lb.to, fr, len(envs), len(buf))
-			// The receiver decodes fresh occurrences from the frame; the
+			// The receiver decodes its own occurrences from the frame; the
 			// in-memory originals' transport references end at the encode.
 			releaseOccs(envs)
 			c.recycleEnvs(envs)
@@ -295,7 +295,7 @@ func (c *linkCoalescer) markSends(now clock.Microticks, lb *linkBatch, envs []wi
 }
 
 // releaseOccs drops the transport's occurrence references after a run was
-// serialized: the receiving side decodes fresh objects, so the in-memory
+// serialized: the receiving side decodes its own objects, so the in-memory
 // originals' transport life ends at the encode.
 func releaseOccs(envs []wire.Envelope) {
 	for _, env := range envs {

@@ -7,17 +7,21 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/event"
+	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
-// sustainedCrank builds a fixed 8-site × 8-definition topology where every
-// definition is hosted at the site that raises its constituents, so the
-// steady state exercises the pooled occurrence lifecycle end to end —
+// sustainedCrank builds a fixed 8-site × 8-definition topology.  Local,
+// every definition is hosted at the site that raises its constituents, so
+// the steady state exercises the pooled occurrence lifecycle end to end —
 // GetPrimitive at raise, self-delivery, Chronicle pairing, pooled
-// composite emission, recycle — with no transport in the loop.  It returns
-// the system and one crank iteration, warmed to steady state.
-func sustainedCrank(t *testing.T, mutate ...func(*Config)) (*System, func()) {
+// composite emission, recycle — with no transport in the loop.  Remote,
+// each definition is hosted at the next site, so every event also crosses
+// the coalescer, the bus, the receiving reorderer and, with Serialize
+// set, the codec.  It returns the system and one crank iteration, warmed
+// to steady state.
+func sustainedCrank(t *testing.T, remote bool, mutate ...func(*Config)) (*System, func()) {
 	const sites = 8
 	cfg := Config{}
 	for _, m := range mutate {
@@ -40,7 +44,11 @@ func sustainedCrank(t *testing.T, mutate ...func(*Config)) (*System, func()) {
 		}
 	}
 	for i := 0; i < sites; i++ {
-		if _, err := sys.DefineAt(ids[i], fmt.Sprintf("P%02d", i), aTypes[i]+" ; "+bTypes[i], detector.Chronicle); err != nil {
+		host := ids[i]
+		if remote {
+			host = ids[(i+1)%sites]
+		}
+		if _, err := sys.DefineAt(host, fmt.Sprintf("P%02d", i), aTypes[i]+" ; "+bTypes[i], detector.Chronicle); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,11 +81,13 @@ func sustainedCrank(t *testing.T, mutate ...func(*Config)) (*System, func()) {
 
 // TestSustainedCrankAllocs pins the sustained crank's allocation budget:
 // once warm, an iteration of 128 raises and 64 detections allocates
-// nothing, and with the always-on observability posture attached — a real
-// span sink (discarded writes) head-sampled at 1% — no more than 17.
-// Either way the loop runs on recycled occurrences: pool misses stay
-// within 5% of gets (sync.Pool may drop its cache at a collection, so a
-// handful of misses is not a regression).
+// nothing — local, and remote over a jittery serialized transport, where
+// messages overtake each other on every link and each event is encoded,
+// decoded into the pool and restored to order — and with the always-on
+// observability posture attached — a real span sink (discarded writes)
+// head-sampled at 1% — no more than 17.  Every arm runs on recycled
+// occurrences: pool misses stay within 5% of gets (sync.Pool may drop its
+// cache at a collection, so a handful of misses is not a regression).
 func TestSustainedCrankAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats sync.Pool caching")
@@ -86,22 +96,48 @@ func TestSustainedCrankAllocs(t *testing.T) {
 		c.Trace = obs.NewTracer(obs.NewSpanLog(io.Discard))
 		c.Sample = obs.NewSampler(1, 0.01)
 	}
+	// Jitter above the 100-microtick flush period reorders each link.
+	serialized := func(c *Config) {
+		c.Serialize = true
+		c.Net = network.Config{BaseLatency: 20, Jitter: 250, Seed: 1}
+	}
 	for _, arm := range []struct {
 		name   string
 		max    float64
+		remote bool
 		mutate []func(*Config)
 	}{
-		{"untraced", 0, nil},
-		{"traced", 17, []func(*Config){traced}},
+		{"untraced", 0, false, nil},
+		{"traced", 17, false, []func(*Config){traced}},
+		{"wire", 0, true, []func(*Config){serialized}},
 	} {
-		sys, iter := sustainedCrank(t, arm.mutate...)
+		sys, iter := sustainedCrank(t, arm.remote, arm.mutate...)
 		st0, ps0 := sys.Stats(), sys.PoolStats()
 		n := testing.AllocsPerRun(200, iter)
 		st, ps := sys.Stats(), sys.PoolStats()
 		gets, misses := ps.Gets-ps0.Gets, ps.Misses-ps0.Misses
 		t.Logf("%s: %v allocs per iteration, %d misses of %d gets", arm.name, n, misses, gets)
-		// AllocsPerRun makes one warm-up call of its own.
-		if got, want := st.Detections-st0.Detections, uint64(201*64); got != want {
+		if arm.remote {
+			// Detections trail the raises by the transport's varying
+			// delay, so count them once everything has arrived: every
+			// initiator pairs with its terminator.
+			if err := sys.Settle(1000); err != nil {
+				t.Fatal(err)
+			}
+			rings := 0
+			for _, s := range sys.sites {
+				for _, src := range s.re.sources {
+					if src.pending != nil {
+						rings++
+					}
+				}
+			}
+			if st := sys.Stats(); st.Detections*2 != st.Raised || rings == 0 {
+				t.Fatalf("%s: %d detections of %d raises, %d links reordered: want every pair detected, some links reordered",
+					arm.name, st.Detections, st.Raised, rings)
+			}
+		} else if got, want := st.Detections-st0.Detections, uint64(201*64); got != want {
+			// AllocsPerRun makes one warm-up call of its own.
 			t.Fatalf("%s: %d detections in 201 iterations, want %d", arm.name, got, want)
 		}
 		if n > arm.max {

@@ -100,6 +100,12 @@ func runScenario(t testing.TB, o scenarioOpts) ([]byte, Stats) {
 			t.Fatal(err)
 		}
 	}
+	// Seal now to make the pool Strict: a double put anywhere in the
+	// scenario — a decoded occurrence released twice included — panics.
+	sys.seal()
+	if sys.opool != nil {
+		sys.opool.Strict = true
+	}
 	trace := workload.GenStream(workload.StreamConfig{
 		Sites: ids, Types: []string{"A", "B", "C", "D"},
 		MeanGap: 40, Count: o.count, Seed: o.seed,

@@ -17,13 +17,17 @@
 //  2. Watermark release: every site periodically heartbeats its current
 //     global time.  Because local clocks are monotone, a source whose
 //     frontier (last in-order global time) is w can never again emit an
-//     event with global time < w.  A buffered event with maximal global
-//     component g is released once min over all frontiers ≥ g − 1: any
-//     future event f then has g_f ≥ g − 1, which by Definition 4.7 rules
-//     out f happening before the released event.  Released events are
+//     event with global time < w.  Under the default ReleaseTotalOrder a
+//     buffered event with maximal global component g is released once min
+//     over all frontiers ≥ g + 1: every event still to arrive then has a
+//     global time above g, so none can happen before the released event
+//     (Definition 4.7) nor sort ahead of it.  Released events are
 //     published in (global, site, local) order, a linear extension of <
 //     for the primitive (singleton-stamp) occurrences exchanged between
-//     sites.
+//     sites.  The exception is ReleaseExtension, which releases as soon as
+//     min over all frontiers ≥ g − 1: any future event f then has
+//     g_f ≥ g − 1, which still rules out f happening before the released
+//     event, but no longer fixes the order among concurrent ones.
 //
 // For hierarchically forwarded *composite* occurrences the (global, site,
 // local) key is still used with the stamp's maximal global component;
@@ -55,17 +59,48 @@ import (
 // sequence number covers one bus message, which since the transport
 // started coalescing may carry several envelopes — pending therefore
 // buffers envelope runs, not single envelopes.  States live by value in
-// the reorderer's dense slice; the pending map is allocated lazily, on a
+// the reorderer's dense slice; the pending ring is made lazily, on a
 // source's first out-of-order arrival, so a site with n in-order sources
-// carries n small structs and no maps.
+// carries n small structs and no rings.
 type sourceState struct {
 	nextSeq  uint64
-	pending  map[uint64][]wire.Envelope
+	pending  *seqRing
 	frontier int64
 	// excluded marks a decommissioned source: its frontier no longer
 	// gates the watermark (see System.Decommission).
 	excluded bool
 }
+
+// seqRing holds a source's early runs by sequence number: the run of seq
+// sits in slots[seq & (len(slots)−1)], and a nil slot is an empty one.
+// Every buffered seq lies in [nextSeq+1, nextSeq+len(slots)), so no two
+// share a slot.  A ring starts with ringInit slots and doubles only when
+// a seq lands beyond its capacity.
+type seqRing struct {
+	slots [][]wire.Envelope
+}
+
+// ringInit is a pending ring's first capacity: four slots of one slice
+// header each, 120 bytes with the ring's own header where the smallest
+// map it replaced took 336 (amd64).
+const ringInit = 4
+
+// slot returns seq's slot.
+func (q *seqRing) slot(seq uint64) *[]wire.Envelope {
+	return &q.slots[seq&uint64(len(q.slots)-1)]
+}
+
+// held returns the run buffered for seq, or nil.
+func (st *sourceState) held(seq uint64) []wire.Envelope {
+	if st.pending == nil || seq-st.nextSeq >= uint64(len(st.pending.slots)) {
+		return nil
+	}
+	return *st.pending.slot(seq)
+}
+
+// emptyRun stands for a buffered run of no envelopes, so that a held slot
+// is never nil.
+var emptyRun = []wire.Envelope{}
 
 // reorderer restores a linear extension of happen-before from out-of-order
 // arrivals.  Not safe for concurrent use; owned by its site.
@@ -81,6 +116,9 @@ type reorderer struct {
 
 	// buffered counts FIFO-pending envelopes for quiescence checks.
 	buffered int
+	// free holds the emptied storage of drained runs, capacity kept, for
+	// the next out-of-order arrival of any source to copy its run into.
+	free [][]wire.Envelope
 	// gating counts non-excluded sources, so exhaustion (everything
 	// decommissioned) is O(1) to detect.
 	gating int
@@ -159,19 +197,15 @@ func (r *reorderer) source(from core.Site, seq uint64) (*sourceState, error) {
 	if seq < st.nextSeq {
 		return nil, fmt.Errorf("ddetect: duplicate seq %d from %q (next %d)", seq, r.siteID(from), st.nextSeq)
 	}
-	// A source with nothing buffered — nearly every arrival's — is not
-	// worth a hash into its nil or emptied map.
-	if len(st.pending) > 0 {
-		if _, dup := st.pending[seq]; dup {
-			return nil, fmt.Errorf("ddetect: duplicate buffered seq %d from %q", seq, r.siteID(from))
-		}
+	if st.held(seq) != nil {
+		return nil, fmt.Errorf("ddetect: duplicate buffered seq %d from %q", seq, r.siteID(from))
 	}
 	return st, nil
 }
 
 // accept ingests a single-envelope message from a source with its link
 // sequence number, draining any in-order run it completes.  The common
-// in-order case bypasses the pending map entirely.
+// in-order case bypasses the pending ring entirely.
 func (r *reorderer) accept(from core.Site, seq uint64, env wire.Envelope) error {
 	st, err := r.source(from, seq)
 	if err != nil {
@@ -190,8 +224,8 @@ func (r *reorderer) accept(from core.Site, seq uint64, env wire.Envelope) error 
 // acceptBatch ingests one coalesced message: a run of envelopes sharing a
 // single link sequence number, in their sender's emission order.  The
 // in-order case ingests straight from the caller's slice, which the
-// caller may recycle as soon as acceptBatch returns; only an out-of-order
-// arrival copies the run into an owned buffer.
+// caller may recycle as soon as acceptBatch returns; an out-of-order
+// arrival is copied into storage the reorderer owns.
 func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []wire.Envelope) error {
 	st, err := r.source(from, seq)
 	if err != nil {
@@ -205,7 +239,7 @@ func (r *reorderer) acceptBatch(from core.Site, seq uint64, envs []wire.Envelope
 		r.drain(st)
 		return nil
 	}
-	r.buffer(st, seq, append([]wire.Envelope(nil), envs...))
+	r.buffer(st, seq, envs)
 	return nil
 }
 
@@ -229,31 +263,64 @@ func (r *reorderer) acceptFrontier(from core.Site, seq uint64, global int64, at 
 	return nil
 }
 
-// buffer holds an out-of-order message's run, which it takes ownership
-// of, until the sequence gap before it fills.  It is the accept methods'
-// cold half, kept out of line so that their in-order half stays small.
+// buffer copies an out-of-order message's run into storage from the free
+// list and holds it in seq's ring slot until the sequence gap before it
+// fills; the caller keeps its slice.  It is the accept methods' cold half,
+// kept out of line so that their in-order half stays small.
 //
 //go:noinline
 func (r *reorderer) buffer(st *sourceState, seq uint64, run []wire.Envelope) {
 	if st.pending == nil {
-		st.pending = make(map[uint64][]wire.Envelope)
+		st.pending = &seqRing{slots: make([][]wire.Envelope, ringInit)}
 	}
-	st.pending[seq] = run
+	for seq-st.nextSeq >= uint64(len(st.pending.slots)) {
+		st.pending.grow(st.nextSeq)
+	}
+	var held []wire.Envelope
+	if n := len(r.free) - 1; n >= 0 {
+		held = r.free[n]
+		r.free[n] = nil
+		r.free = r.free[:n]
+	}
+	held = append(held[:0], run...)
+	if held == nil {
+		held = emptyRun
+	}
+	*st.pending.slot(seq) = held
 	r.buffered += len(run)
 }
 
-// drain consumes the in-order run now sitting in the pending map.
+// grow doubles the ring, moving each held run — a seq in [next,
+// next+len(slots)) — to its slot under the wider mask.
+func (q *seqRing) grow(next uint64) {
+	old := q.slots
+	mask := uint64(len(old) - 1)
+	q.slots = make([][]wire.Envelope, 2*len(old))
+	for i, run := range old {
+		if run != nil {
+			*q.slot(next + (uint64(i)-next)&mask) = run
+		}
+	}
+}
+
+// drain consumes the in-order run now sitting in the pending ring and
+// returns each drained run's storage to the free list.
 func (r *reorderer) drain(st *sourceState) {
-	for len(st.pending) > 0 {
-		next, ok := st.pending[st.nextSeq]
-		if !ok {
+	for st.pending != nil {
+		slot := st.pending.slot(st.nextSeq)
+		next := *slot
+		if next == nil {
 			return
 		}
-		delete(st.pending, st.nextSeq)
+		*slot = nil
 		st.nextSeq++
 		r.buffered -= len(next)
 		for _, env := range next {
 			r.ingest(st, env)
+		}
+		if cap(next) > 0 {
+			clear(next)
+			r.free = append(r.free, next[:0])
 		}
 	}
 }

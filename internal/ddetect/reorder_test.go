@@ -3,6 +3,7 @@ package ddetect
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -22,9 +23,23 @@ type frontierArrival struct {
 func (r *reorderer) snapshot() string {
 	s := fmt.Sprintf("buffered=%d ready=%d minDirty=%v stale=%v", r.buffered, len(r.ready), r.minDirty, r.stale)
 	for i, st := range r.sources {
-		s += fmt.Sprintf(" [%d next=%d frontier=%d pending=%d]", i, st.nextSeq, st.frontier, len(st.pending))
+		s += fmt.Sprintf(" [%d next=%d frontier=%d pending=%d]", i, st.nextSeq, st.frontier, st.heldRuns())
 	}
 	return s
+}
+
+// heldRuns counts the runs a source's pending ring holds.
+func (st *sourceState) heldRuns() int {
+	if st.pending == nil {
+		return 0
+	}
+	n := 0
+	for _, run := range st.pending.slots {
+		if run != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // twinReorderers feeds every arrival to two reorderers built the same way
@@ -102,7 +117,7 @@ func TestFrontierOutOfOrderBuffersThenDrains(t *testing.T) {
 		if err := tw.arrive(frontierArrival{a, 1, 5}); err != nil {
 			t.Fatal(err)
 		}
-		if r.buffered != 0 || r.sources[a].nextSeq != 3 || r.sources[a].frontier != 7 || len(r.sources[a].pending) != 0 {
+		if r.buffered != 0 || r.sources[a].nextSeq != 3 || r.sources[a].frontier != 7 || r.sources[a].heldRuns() != 0 {
 			t.Fatalf("after the gap filled: %s", r.snapshot())
 		}
 		if !r.minDirty {
@@ -242,4 +257,265 @@ func TestFrontierSelfOnlyRejectsForeignSender(t *testing.T) {
 			t.Fatalf("watermark = %d, want the site's own 4", got)
 		}
 	})
+}
+
+// ringMsg is one bus message of the ring property test: a run of
+// envelopes (acceptBatch), a lone heartbeat (acceptFrontier) or a single
+// envelope (accept).
+type ringMsg struct {
+	kind int // msgRun, msgFrontier or msgSingle
+	envs []wire.Envelope
+}
+
+const (
+	msgRun = iota
+	msgFrontier
+	msgSingle
+)
+
+// ringModel is the map the pending ring replaced, written out as the
+// specification: per source the next sequence number, the early messages
+// by sequence number and the frontier, plus every event in ingest order.
+type ringModel struct {
+	roster   *core.Roster
+	next     []uint64
+	pending  []map[uint64]ringMsg
+	frontier []int64
+	buffered int
+	ingested []*event.Occurrence
+}
+
+func newRingModel(roster *core.Roster) *ringModel {
+	m := &ringModel{roster: roster}
+	for i := 0; i < roster.Len(); i++ {
+		m.next = append(m.next, 1)
+		m.pending = append(m.pending, map[uint64]ringMsg{})
+		m.frontier = append(m.frontier, math.MinInt64)
+	}
+	return m
+}
+
+// arrive applies one arrival and returns the error text the reorderer
+// must give, or "".
+func (m *ringModel) arrive(from core.Site, seq uint64, msg ringMsg) string {
+	id := m.roster.ID(from)
+	if seq < m.next[from] {
+		return fmt.Sprintf("ddetect: duplicate seq %d from %q (next %d)", seq, id, m.next[from])
+	}
+	if _, dup := m.pending[from][seq]; dup {
+		return fmt.Sprintf("ddetect: duplicate buffered seq %d from %q", seq, id)
+	}
+	m.pending[from][seq] = msg
+	m.buffered += len(msg.envs)
+	for {
+		next, ok := m.pending[from][m.next[from]]
+		if !ok {
+			return ""
+		}
+		delete(m.pending[from], m.next[from])
+		m.next[from]++
+		m.buffered -= len(next.envs)
+		for _, env := range next.envs {
+			g := env.Global
+			if env.Kind == wire.KindEvent {
+				g = env.Occ.Stamp.MaxGlobal()
+				m.ingested = append(m.ingested, env.Occ)
+			}
+			if g > m.frontier[from] {
+				m.frontier[from] = g
+			}
+		}
+	}
+}
+
+// deliver hands msg to the reorderer the way its kind travels.
+func deliver(r *reorderer, from core.Site, seq uint64, msg ringMsg) error {
+	switch msg.kind {
+	case msgFrontier:
+		env := msg.envs[0]
+		return r.acceptFrontier(from, seq, env.Global, env.RaisedAt)
+	case msgSingle:
+		return r.accept(from, seq, msg.envs[0])
+	default:
+		return r.acceptBatch(from, seq, msg.envs)
+	}
+}
+
+// linkMessages draws one source's n messages in emission order: event
+// runs, lone frontiers and single envelopes, globals rising.
+func linkMessages(rng *rand.Rand, id core.SiteID, n int) []ringMsg {
+	msgs := make([]ringMsg, n)
+	local := int64(0)
+	envelope := func() wire.Envelope {
+		local += 10 + rng.Int63n(30)
+		if rng.Intn(2) == 0 {
+			return wire.Envelope{Kind: wire.KindHeartbeat, Global: local / 10, RaisedAt: local}
+		}
+		occ := event.NewPrimitive("A", event.Explicit, core.DeriveStamp(id, local, 10), nil)
+		return wire.Envelope{Kind: wire.KindEvent, Occ: occ, RaisedAt: local}
+	}
+	for i := range msgs {
+		switch kind := rng.Intn(3); kind {
+		case msgFrontier:
+			local += 10 + rng.Int63n(30)
+			msgs[i] = ringMsg{kind, []wire.Envelope{{Kind: wire.KindHeartbeat, Global: local / 10, RaisedAt: local}}}
+		case msgSingle:
+			msgs[i] = ringMsg{kind, []wire.Envelope{envelope()}}
+		default:
+			run := make([]wire.Envelope, 1+rng.Intn(4))
+			for j := range run {
+				run[j] = envelope()
+			}
+			msgs[i] = ringMsg{kind, run}
+		}
+	}
+	return msgs
+}
+
+// arrivalOrder permutes one link's sequence numbers 1..n: swaps between
+// neighbours, and a few messages held back by at least three times the
+// ring's initial capacity (one of them seq 1, so the ring must grow).
+func arrivalOrder(rng *rand.Rand, n int) []uint64 {
+	order := make([]uint64, n)
+	for i := range order {
+		order[i] = uint64(i + 1)
+	}
+	for i := 0; i+1 < n; i++ {
+		if rng.Intn(3) == 0 {
+			order[i], order[i+1] = order[i+1], order[i]
+		}
+	}
+	hold := func(i int) {
+		gap := 3*ringInit + rng.Intn(2*ringInit)
+		if i+gap >= n {
+			gap = n - 1 - i
+		}
+		seq := order[i]
+		copy(order[i:], order[i+1:i+gap+1])
+		order[i+gap] = seq
+	}
+	hold(0)
+	for k := 0; k < 3; k++ {
+		hold(rng.Intn(n / 2))
+	}
+	return order
+}
+
+// TestReorderRingMatchesModel drives the pending ring with random
+// per-link arrival permutations — event runs, lone frontiers and single
+// envelopes, gaps past three times the ring's first capacity — against
+// the map it replaced: after every arrival the frontiers, next
+// sequence numbers and pendingEvents agree; a consumed or an
+// already-buffered sequence number gets the map's error, word for word,
+// and changes nothing; and the events are ingested in each link's
+// emission order.
+func TestReorderRingMatchesModel(t *testing.T) {
+	roster := core.NewRoster([]core.SiteID{"a", "b", "c"})
+	const perLink = 150
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r, m := newReorderer(roster), newRingModel(roster)
+		msgs := make([][]ringMsg, roster.Len())
+		orders := make([][]uint64, roster.Len())
+		for i := range msgs {
+			msgs[i] = linkMessages(rng, roster.ID(core.Site(i)), perLink)
+			orders[i] = arrivalOrder(rng, perLink)
+		}
+		check := func(what string) {
+			t.Helper()
+			if got, want := r.pendingEvents(), m.buffered+len(m.ingested); got != want {
+				t.Fatalf("seed %d, %s: pendingEvents = %d, model %d", seed, what, got, want)
+			}
+			for i := range r.sources {
+				st := &r.sources[i]
+				if st.nextSeq != m.next[i] || st.frontier != m.frontier[i] || st.heldRuns() != len(m.pending[i]) {
+					t.Fatalf("seed %d, %s: source %d next=%d frontier=%d held=%d, model %d %d %d", seed, what, i,
+						st.nextSeq, st.frontier, st.heldRuns(), m.next[i], m.frontier[i], len(m.pending[i]))
+				}
+			}
+		}
+		for left := roster.Len() * perLink; left > 0; left-- {
+			i := rng.Intn(roster.Len())
+			for len(orders[i]) == 0 {
+				i = (i + 1) % roster.Len()
+			}
+			from, seq := core.Site(i), orders[i][0]
+			orders[i] = orders[i][1:]
+			msg := msgs[i][seq-1]
+			if want := m.arrive(from, seq, msg); want != "" {
+				t.Fatalf("seed %d: the model rejected a fresh arrival: %s", seed, want)
+			}
+			if err := deliver(r, from, seq, msg); err != nil {
+				t.Fatalf("seed %d: seq %d from %d: %v", seed, seq, i, err)
+			}
+			check(fmt.Sprintf("seq %d from %d", seq, i))
+			// Replay a sequence number already seen on this link: consumed
+			// or still buffered, it must be rejected with the map's text.
+			if rng.Intn(4) == 0 {
+				dup := 1 + uint64(rng.Int63n(int64(perLink)))
+				if seen := dup < m.next[i] || m.pending[i][dup].envs != nil; seen {
+					want := m.arrive(from, dup, msgs[i][dup-1])
+					err := deliver(r, from, dup, msgs[i][dup-1])
+					if err == nil || err.Error() != want {
+						t.Fatalf("seed %d: replayed seq %d from %d: got %v, want %s", seed, dup, i, err, want)
+					}
+					check(fmt.Sprintf("replayed seq %d from %d", dup, i))
+				}
+			}
+		}
+		if r.buffered != 0 || len(r.ready) != len(m.ingested) {
+			t.Fatalf("seed %d: %d envelopes still buffered, %d events ready, want 0 and %d", seed, r.buffered, len(r.ready), len(m.ingested))
+		}
+		got := make([]*event.Occurrence, len(r.ready))
+		for _, it := range r.ready {
+			got[it.key.arrival-1] = it.env.Occ
+		}
+		for k := range got {
+			if got[k] != m.ingested[k] {
+				t.Fatalf("seed %d: event %d ingested out of the model's order", seed, k)
+			}
+		}
+	}
+}
+
+// TestReorderAllocs pins the out-of-order path at zero allocations once
+// warm: a run and a lone frontier buffered ahead of their gap, the gap's
+// arrival draining both, and the release that keeps the ready queue
+// short.  Drained runs leave their storage on the free list and the ring
+// keeps its slots, so the next early arrival reuses both.
+func TestReorderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	roster, a, b := abRoster()
+	r := newReorderer(roster)
+	occ := event.NewPrimitive("A", event.Explicit, core.DeriveStamp("a", 0, 10), nil)
+	run := []wire.Envelope{{Kind: wire.KindEvent, Occ: occ}, {Kind: wire.KindEvent, Occ: occ}}
+	seqA, seqB, g := uint64(1), uint64(1), int64(0)
+	var out []wire.Envelope
+	iter := func() {
+		g++
+		for _, err := range []error{
+			r.acceptFrontier(a, seqA+2, g+1, 0),
+			r.acceptBatch(a, seqA+1, run),
+			r.acceptFrontier(b, seqB+1, g+1, 0),
+			r.acceptFrontier(a, seqA, g, 0),
+			r.acceptFrontier(b, seqB, g, 0),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		seqA, seqB = seqA+3, seqB+2
+		out = r.releaseInto(ReleaseTotalOrder, out[:0])
+		if len(out) != len(run) || r.pendingEvents() != 0 {
+			t.Fatalf("released %d, %d pending, want %d and 0", len(out), r.pendingEvents(), len(run))
+		}
+	}
+	for i := 0; i < 16; i++ {
+		iter()
+	}
+	if n := testing.AllocsPerRun(200, iter); n != 0 {
+		t.Errorf("%v allocs per out-of-order round, want 0", n)
+	}
 }

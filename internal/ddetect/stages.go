@@ -315,7 +315,7 @@ func (st *transportStage) acceptOne(dst *Site, from core.Site, seq uint64, env w
 
 // acceptEvent applies the per-arrival observability: the recv latency
 // mark, the serialize-mode sample recomputation (a decoded occurrence is
-// a fresh object whose in-memory sample bit did not travel — the
+// its own object, whose in-memory sample bit did not travel — the
 // decision is a pure function of raise identity, so recomputing it here
 // yields the bit the origin stamped), and the recv span, the one place
 // the sender's index is resolved back to a name.

@@ -910,7 +910,19 @@ func (sys *System) seal() {
 		s.idx = core.Site(i)
 	}
 	sys.bus.SetRoster(sys.roster)
-	sys.codec = &wire.Codec{Roster: sys.roster, Granule: int64(sys.cfg.Clock.GlobalGranularity), Types: sys.reg}
+	// Occurrence pooling needs the sealed roster (interned stamp
+	// components).  Tracing no longer suspends it: span identity is
+	// keyed by (pointer, generation), so a recycled slot cannot alias a
+	// previous tenant's span.  The codec decodes into the same pool: a
+	// decoded occurrence's creator reference is its delivery reference,
+	// which the detect stage drops after dispatch.
+	if !sys.cfg.DisablePooling {
+		sys.opool = event.NewPool(sys.roster)
+		for _, s := range sys.sites {
+			s.det.UsePool(sys.opool)
+		}
+	}
+	sys.codec = &wire.Codec{Roster: sys.roster, Granule: int64(sys.cfg.Clock.GlobalGranularity), Types: sys.reg, Pool: sys.opool}
 	sink := make([]bool, len(sys.sites))
 	sys.defByID = make([]*defRecord, sys.reg.Count()+1)
 	for typ, hosts := range sys.needers { //lint:allow mapiter — per-type entries are independent and each dense list inherits its string list's ID-sorted order; hbSinks below is appended in sys.sites order
@@ -940,16 +952,6 @@ func (sys *System) seal() {
 		}
 	}
 	sys.coal.seal(len(sys.sites), sys.hbSinks)
-	// Occurrence pooling needs the sealed roster (interned stamp
-	// components).  Tracing no longer suspends it: span identity is
-	// keyed by (pointer, generation), so a recycled slot cannot alias a
-	// previous tenant's span.
-	if !sys.cfg.DisablePooling {
-		sys.opool = event.NewPool(sys.roster)
-		for _, s := range sys.sites {
-			s.det.UsePool(sys.opool)
-		}
-	}
 }
 
 // PoolStats returns a snapshot of the occurrence pool counters (zero when

@@ -21,7 +21,8 @@
 package denote
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/event"
@@ -188,7 +189,7 @@ func combine(a, b Detection) Detection {
 // canonical orders detections deterministically (by constituent stamps)
 // for comparison with the incremental engine.
 func canonical(ds []Detection) []Detection {
-	sort.SliceStable(ds, func(i, j int) bool { return Key(ds[i]) < Key(ds[j]) })
+	slices.SortStableFunc(ds, func(a, b Detection) int { return strings.Compare(Key(a), Key(b)) })
 	return ds
 }
 

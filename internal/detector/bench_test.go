@@ -48,47 +48,35 @@ func TestNotSpoiledStateAllocs(t *testing.T) {
 }
 
 // TestOperatorAllocs pins what one publish cycle costs each operator node
-// in each parameter context, exactly: a new allocation in a node's child
-// handler moves its count.  Every cycle publishes pooled primitives 10
-// global ticks apart at one site, so each cycle meets the state the
-// previous one left.  Unrestricted SEQ, AND, NOT and ANY are left out:
-// they pair every terminator with every retained initiator, so their state
-// (265–530 entries after warm-up) and their count grow with each cycle and
-// have no fixed value.  P, P* and PLUS are left out because no workload
-// defines them.
+// in each parameter context: nothing.  Every cycle publishes pooled
+// primitives 10 global ticks apart at one site, so each cycle meets the
+// state the previous one left; emissions build their constituent lists
+// in node scratch and windows live by value, so a new allocation in a
+// node's child handler fails its cell.  Unrestricted SEQ, AND, NOT and
+// ANY are left out: they pair every terminator with every retained
+// initiator, so their state (265–530 entries after warm-up) grows with
+// each cycle and so does the buffer growth it costs.  P, P* and PLUS are
+// left out because no workload defines them.
 func TestOperatorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats sync.Pool caching")
 	}
-	type cell struct {
-		ctx    Context
-		allocs float64
-	}
-	every := func(allocs float64) []cell {
-		var cells []cell
-		for _, ctx := range Contexts() {
-			cells = append(cells, cell{ctx, allocs})
-		}
-		return cells
-	}
-	bounded := func(recent, chronicle, continuous, cumulative float64) []cell {
-		return []cell{{Recent, recent}, {Chronicle, chronicle}, {Continuous, continuous}, {Cumulative, cumulative}}
-	}
+	bounded := []Context{Recent, Chronicle, Continuous, Cumulative}
 	for _, tc := range []struct {
-		expr  string
-		cycle []string
-		cells []cell
+		expr     string
+		cycle    []string
+		contexts []Context
 	}{
-		{"A ; B", []string{"A", "B"}, bounded(0, 0, 0, 1)},
-		{"A AND B", []string{"A", "B"}, bounded(0, 0, 0, 1)},
-		{"NOT(C)[A, D]", []string{"A", "D"}, bounded(0, 0, 0, 1)},
-		{"A OR B", []string{"A"}, every(0)},
-		{"ANY(2, A, B, C)", []string{"A", "B"}, bounded(8, 4, 4, 4)},
-		{"A(A, B, C)", []string{"A", "B", "C"}, every(1)},
-		{"A*(A, B, C)", []string{"A", "B", "C"}, every(3)},
+		{"A ; B", []string{"A", "B"}, bounded},
+		{"A AND B", []string{"A", "B"}, bounded},
+		{"NOT(C)[A, D]", []string{"A", "D"}, bounded},
+		{"A OR B", []string{"A"}, Contexts()},
+		{"ANY(2, A, B, C)", []string{"A", "B"}, bounded},
+		{"A(A, B, C)", []string{"A", "B", "C"}, Contexts()},
+		{"A*(A, B, C)", []string{"A", "B", "C"}, Contexts()},
 	} {
-		for _, c := range tc.cells {
-			d, pool, roster := pooledDetector(t, []core.SiteID{"s1"}, []string{"A", "B", "C", "D"}, tc.expr, c.ctx)
+		for _, ctx := range tc.contexts {
+			d, pool, roster := pooledDetector(t, []core.SiteID{"s1"}, []string{"A", "B", "C", "D"}, tc.expr, ctx)
 			fired := 0
 			d.Subscribe("X", func(*event.Occurrence) { fired++ })
 			s1, local := roster.MustSite("s1"), int64(0)
@@ -105,19 +93,18 @@ func TestOperatorAllocs(t *testing.T) {
 				cycle()
 			}
 			before := fired
-			n := testing.AllocsPerRun(runs, cycle)
-			if n != c.allocs {
-				t.Errorf("%s %v: %v allocs per cycle, want %v", tc.expr, c.ctx, n, c.allocs)
+			if n := testing.AllocsPerRun(runs, cycle); n != 0 {
+				t.Errorf("%s %v: %v allocs per cycle, want 0", tc.expr, ctx, n)
 			}
 			// Recent keeps the last A and the last B, so each arrival
 			// pairs with the retained partner: two detections a cycle.
 			want := 1
-			if c.ctx == Recent && (tc.expr == "A AND B" || tc.expr == "ANY(2, A, B, C)") {
+			if ctx == Recent && (tc.expr == "A AND B" || tc.expr == "ANY(2, A, B, C)") {
 				want = 2
 			}
 			// AllocsPerRun makes one warm-up call of its own.
 			if got, cycles := fired-before, runs+1; got != want*cycles {
-				t.Errorf("%s %v: %d detections in %d cycles, want %d a cycle", tc.expr, c.ctx, got, cycles, want)
+				t.Errorf("%s %v: %d detections in %d cycles, want %d a cycle", tc.expr, ctx, got, cycles, want)
 			}
 		}
 	}

@@ -61,10 +61,26 @@ func (n *notNode) trim(max int) int {
 	return d1 + d2
 }
 
+// trim evicts the oldest windows beyond max.  Their references are left
+// to the GC, as every eviction leaves them; their slots are blanked and
+// swapped past the new length the way an E3 compaction moves closed ones,
+// so each acc backing array still belongs to exactly one slot.
 func (n *aperiodicNode) trim(max int) int {
-	var d int
-	n.windows, d = trimOldest(n.windows, max)
-	return d
+	if max <= 0 || len(n.windows) <= max {
+		return 0
+	}
+	drop := len(n.windows) - max
+	for i := range n.windows[:drop] {
+		w := &n.windows[i]
+		w.init = nil
+		clear(w.acc)
+		w.acc = w.acc[:0]
+	}
+	for i := drop; i < len(n.windows); i++ {
+		n.windows[i-drop], n.windows[i] = n.windows[i], n.windows[i-drop]
+	}
+	n.windows = n.windows[:max]
+	return drop
 }
 
 func (n *periodicNode) trim(max int) int {

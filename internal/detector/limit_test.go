@@ -1,8 +1,14 @@
 package detector
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/event"
 )
 
 func TestBufferLimitBoundsUnrestricted(t *testing.T) {
@@ -150,5 +156,111 @@ func TestBufferLimitNotIndexSurvivesEviction(t *testing.T) {
 	}
 	if dropped < 1000 {
 		t.Fatalf("only %d evictions: the property is vacuous", dropped)
+	}
+}
+
+// TestBufferLimitAperiodicWindows runs A and A* under a buffer limit of
+// one to three windows on a Strict pool (a double put panics) and checks
+// every emission against a model of the operator over plain slices: the
+// windows the limit keeps are the newest, and each keeps exactly the E2s
+// it accumulated.  The limit is lifted for every other stretch of 40
+// publications, so one trim evicts many windows, some of them holding
+// E2 storage reused from windows closed earlier.  The events are published
+// in one site's order, so every window precedes every later event.
+func TestBufferLimitAperiodicWindows(t *testing.T) {
+	sites := []core.SiteID{"s1"}
+	for _, cumulative := range []bool{false, true} {
+		expression := "A(A, B, C)"
+		if cumulative {
+			expression = "A*(A, B, C)"
+		}
+		for _, ctx := range allContexts {
+			for limit := 1; limit <= 3; limit++ {
+				r := rand.New(rand.NewSource(int64(limit)))
+				d, pool, roster := pooledDetector(t, sites, []string{"A", "B", "C"}, expression, ctx)
+				pool.Strict = true
+				var got []string
+				d.Subscribe("X", func(o *event.Occurrence) { got = append(got, sig(o)) })
+
+				type window struct {
+					init string
+					acc  []string
+				}
+				var windows []window
+				var want []string
+				emit := func(parts ...string) { want = append(want, "X["+strings.Join(parts, " ")+"]") }
+				dropped := 0
+				for i := int64(1); i <= 400; i++ {
+					cur := limit
+					if i/40%2 == 0 {
+						cur = 0
+					}
+					d.SetBufferLimit(cur)
+					typ := []string{"A", "A", "A", "B", "B", "B", "B", "B", "B", "B", "B", "C"}[r.Intn(12)]
+					st := core.DeriveStamp("s1", i*10, tRatio)
+					o := pool.GetPrimitive(typ, event.Explicit, st, roster.MustSite(st.Site), nil)
+					d.Publish(o)
+					o.Release()
+
+					name := fmt.Sprintf("%s@%d", typ, i*10)
+					switch typ {
+					case "A":
+						if ctx == Recent {
+							windows = windows[:0]
+						}
+						windows = append(windows, window{init: name})
+					case "B":
+						for j := range windows {
+							if cumulative {
+								windows[j].acc = append(windows[j].acc, name)
+							} else {
+								emit(windows[j].init, name)
+							}
+							if ctx == Chronicle {
+								break
+							}
+						}
+					case "C":
+						if !cumulative || len(windows) == 0 {
+							windows = windows[:0]
+							break
+						}
+						switch ctx {
+						case Chronicle:
+							emit(append(append([]string{windows[0].init}, windows[0].acc...), name)...)
+						case Cumulative:
+							var parts, e2s []string
+							for _, w := range windows {
+								parts = append(parts, w.init)
+								for _, e2 := range w.acc {
+									if !slices.Contains(e2s, e2) {
+										e2s = append(e2s, e2)
+									}
+								}
+							}
+							emit(append(append(parts, e2s...), name)...)
+						default:
+							for _, w := range windows {
+								emit(append(append([]string{w.init}, w.acc...), name)...)
+							}
+						}
+						windows = windows[:0]
+					}
+					if cur > 0 && len(windows) > cur {
+						dropped += len(windows) - cur
+						windows = append(windows[:0], windows[len(windows)-cur:]...)
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s under %v, limit %d:\n got %v\nwant %v", expression, ctx, limit, got, want)
+				}
+				if uint64(dropped) != d.DroppedOccurrences() || (dropped == 0 && ctx != Recent) { // Recent holds one window
+					t.Fatalf("%s under %v, limit %d: dropped %d, model %d (want some outside Recent)", expression, ctx, limit, d.DroppedOccurrences(), dropped)
+				}
+				if ps := pool.Stats(); ps.DoublePuts != 0 {
+					t.Fatalf("%s under %v, limit %d: %d double puts", expression, ctx, limit, ps.DoublePuts)
+				}
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package detector
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -114,9 +113,12 @@ type binaryNode struct {
 	out  emitFunc
 
 	buf [2][]*event.Occurrence
-	// eligible is scratch for the per-terminator initiator scan, reused
-	// across onChild calls so steady-state detection does not allocate.
+	// eligible is scratch for the per-terminator initiator scan, and cs
+	// for a Cumulative emission's constituent list (emit copies it), both
+	// reused across onChild calls so steady-state detection does not
+	// allocate.
 	eligible []int
+	cs       []*event.Occurrence
 }
 
 //sentinel:hotpath
@@ -164,12 +166,11 @@ func (n *binaryNode) onSeq(idx int, o *event.Occurrence) {
 		}
 		n.buf[0] = removeIndices(n.buf[0], eligible)
 	case Cumulative:
-		constituents := make([]*event.Occurrence, 0, len(eligible)+1)
+		cs := n.cs[:0]
 		for _, i := range eligible {
-			constituents = append(constituents, n.buf[0][i])
+			cs = append(cs, n.buf[0][i])
 		}
-		constituents = append(constituents, o)
-		n.det.emit(n.out, n.name, constituents...)
+		n.cs = n.det.emitScratch(n.out, n.name, append(cs, o))
 		n.buf[0] = removeIndices(n.buf[0], eligible)
 	}
 }
@@ -213,14 +214,13 @@ func (n *binaryNode) onAnd(idx int, o *event.Occurrence) {
 		}
 		n.buf[other] = releaseAll(n.buf[other])
 	case Cumulative:
-		others := n.buf[other]
-		constituents := make([]*event.Occurrence, 0, len(others)+1)
+		cs := n.cs[:0]
 		if idx == 1 {
-			constituents = append(append(constituents, others...), o)
+			cs = append(append(cs, n.buf[other]...), o)
 		} else {
-			constituents = append(append(constituents, o), others...)
+			cs = append(append(cs, o), n.buf[other]...)
 		}
-		n.det.emit(n.out, n.name, constituents...)
+		n.cs = n.det.emitScratch(n.out, n.name, cs)
 		n.buf[other] = releaseAll(n.buf[other])
 	}
 }
@@ -248,9 +248,9 @@ type anyNode struct {
 	buf [][]*event.Occurrence
 	// Scratch reused across onChild calls: eligible holds the child
 	// indexes with buffered occurrences, chooseSel backs the subset
-	// enumeration, and combo assembles each emitted selection before it
-	// is ordered.  None of them escapes an emission (emitOrdered copies
-	// into the fresh constituents slice the Occurrence retains).
+	// enumeration, combo assembles each emitted selection before it is
+	// ordered, and cs holds the ordered constituent list.  None of them
+	// escapes an emission: emit copies the list it is handed.
 	eligible  []int
 	chooseSel []int
 	combo     []childOcc
@@ -258,6 +258,7 @@ type anyNode struct {
 	// in place, so combinations assembled in the shared combo backing are
 	// copied here first to leave the recursion's accumulator untouched.
 	ordered []childOcc
+	cs      []*event.Occurrence
 }
 
 // childOcc pairs a constituent occurrence with the child index it arrived
@@ -362,14 +363,22 @@ func (n *anyNode) emitCombos(o childOcc, sel []int, depth int, acc []childOcc) {
 }
 
 // emitOrdered emits with constituents sorted into child-index order (ties
-// by buffer order) for deterministic parameter lists.
+// by buffer order) for deterministic parameter lists.  The sort is a
+// stable insertion sort in place, so it orders exactly as a stable library
+// sort would: a selection holds m entries, and a Cumulative one, which
+// holds every buffered entry, is out of order only in the arriving
+// child's block.
 func (n *anyNode) emitOrdered(sel []childOcc) {
-	sort.SliceStable(sel, func(i, j int) bool { return sel[i].c < sel[j].c })
-	constituents := make([]*event.Occurrence, len(sel))
-	for i, s := range sel {
-		constituents[i] = s.occ
+	for i := 1; i < len(sel); i++ {
+		for j := i; j > 0 && sel[j].c < sel[j-1].c; j-- {
+			sel[j], sel[j-1] = sel[j-1], sel[j]
+		}
 	}
-	n.det.emit(n.out, n.name, constituents...)
+	cs := n.cs[:0]
+	for _, s := range sel {
+		cs = append(cs, s.occ)
+	}
+	n.cs = n.det.emitScratch(n.out, n.name, cs)
 }
 
 // choose invokes fn with each size-k subset of items, preserving order.
@@ -428,9 +437,11 @@ type notNode struct {
 	// stale is set when the buffer limit evicted initiators: E2s that only
 	// they preceded stay buffered until the next consume prunes them.
 	stale bool
-	// Scratch: the initiators one terminator uses, the E2s one consume drops.
+	// Scratch: the initiators one terminator uses, the E2s one consume
+	// drops, a Cumulative emission's constituent list.
 	eligible []int
 	gone     []int32
+	cs       []*event.Occurrence
 }
 
 const noFollower = -1
@@ -495,12 +506,11 @@ func (n *notNode) onChild(idx int, o *event.Occurrence) {
 			}
 			n.consume(eligible)
 		case Cumulative:
-			constituents := make([]*event.Occurrence, 0, len(eligible)+1)
+			cs := n.cs[:0]
 			for _, i := range eligible {
-				constituents = append(constituents, n.inits[i])
+				cs = append(cs, n.inits[i])
 			}
-			constituents = append(constituents, o)
-			n.det.emit(n.out, n.name, constituents...)
+			n.cs = n.det.emitScratch(n.out, n.name, append(cs, o))
 			n.consume(eligible)
 		}
 	}
@@ -588,14 +598,15 @@ outer:
 	}
 }
 
-// apWindow is one open interval of an aperiodic or periodic operator.
+// apWindow is one open interval of an aperiodic operator.
 type apWindow struct {
 	init *event.Occurrence
-	acc  []*event.Occurrence // accumulated E2s (A*) or ticks (P*)
+	acc  []*event.Occurrence // accumulated E2s (A*)
 }
 
 // release drops the window's buffer references when it is discarded or
-// after its closing emission.
+// after its closing emission, keeping the acc storage for the next window
+// the slot holds.
 func (w *apWindow) release() {
 	w.init.Release()
 	w.init = nil
@@ -618,11 +629,15 @@ type aperiodicNode struct {
 	cumulative bool
 	out        emitFunc
 
-	windows []*apWindow
-	// closed is scratch for the per-terminator window scan; window
-	// pointers never escape through it (emissions copy what they need
-	// into fresh constituent slices).
-	closed []*apWindow
+	// windows holds the open windows by value, oldest first.  The slots
+	// past its length are released windows whose acc storage waits for
+	// reuse; each acc backing array belongs to exactly one slot, which is
+	// why windows move only by swapping.
+	windows []apWindow
+	// Scratch: closed indexes the windows one terminator closes; cs is an
+	// emission's constituent list (emit copies it).
+	closed []int
+	cs     []*event.Occurrence
 }
 
 //sentinel:hotpath
@@ -630,15 +645,20 @@ func (n *aperiodicNode) onChild(idx int, o *event.Occurrence) {
 	switch idx {
 	case 0: // E1 opens a window
 		if n.ctx == Recent {
-			for i, w := range n.windows {
-				w.release()
-				n.windows[i] = nil
+			for i := range n.windows {
+				n.windows[i].release()
 			}
 			n.windows = n.windows[:0]
 		}
-		n.windows = append(n.windows, &apWindow{init: retain(o)})
+		if len(n.windows) == cap(n.windows) {
+			n.windows = append(n.windows, apWindow{})
+		} else {
+			n.windows = n.windows[:len(n.windows)+1]
+		}
+		n.windows[len(n.windows)-1].init = retain(o)
 	case 1: // E2 goes to the open windows it follows
-		for _, w := range n.windows {
+		for i := range n.windows {
+			w := &n.windows[i]
 			if !event.StampLess(w.init, o) {
 				continue
 			}
@@ -653,74 +673,82 @@ func (n *aperiodicNode) onChild(idx int, o *event.Occurrence) {
 		}
 	case 2: // E3 closes windows
 		closed := n.closed[:0]
-		live := n.windows[:0]
-		for _, w := range n.windows {
-			if event.StampLess(w.init, o) {
-				closed = append(closed, w)
-			} else {
-				live = append(live, w)
+		for i := range n.windows {
+			if event.StampLess(n.windows[i].init, o) {
+				closed = append(closed, i)
 			}
 		}
-		for i := len(live); i < len(n.windows); i++ {
-			n.windows[i] = nil
-		}
-		n.windows = live
 		n.closed = closed[:0]
-		if !n.cumulative || len(closed) == 0 {
-			// A closed window emits nothing here in the non-cumulative
-			// operator; its buffered references end with it.
-			for _, w := range closed {
-				w.release()
-			}
+		if len(closed) == 0 {
 			return
 		}
-		emitWindow := func(ws []*apWindow) {
-			// Initiators first, then the union of accumulated E2s
-			// strictly inside the open interval (an E2 shared by several
-			// merged windows appears once), then the terminator.
-			size := len(ws) + 1
-			for _, w := range ws {
-				size += len(w.acc)
-			}
-			constituents := make([]*event.Occurrence, 0, size)
-			for _, w := range ws {
-				constituents = append(constituents, w.init)
-			}
-			var seen map[*event.Occurrence]bool
-			if len(ws) > 1 {
-				seen = make(map[*event.Occurrence]bool)
-			}
-			for _, w := range ws {
-				for _, e2 := range w.acc {
-					if !seen[e2] && event.StampLess(e2, o) {
-						if seen != nil {
-							seen[e2] = true
-						}
-						constituents = append(constituents, e2)
-					}
+		// A closed window of the non-cumulative operator emits nothing
+		// here; its buffered references end with it.
+		if n.cumulative {
+			switch n.ctx {
+			case Chronicle:
+				n.emitWindows(closed[:1], o)
+				// Later windows closed by the same E3 are discarded in
+				// Chronicle: each terminator accounts for one initiator.
+			case Cumulative:
+				n.emitWindows(closed, o)
+			default: // Unrestricted, Recent, Continuous: one composite per window
+				for i := range closed {
+					n.emitWindows(closed[i:i+1], o)
 				}
 			}
-			constituents = append(constituents, o)
-			n.det.emit(n.out, n.name, constituents...)
 		}
-		switch n.ctx {
-		case Chronicle:
-			emitWindow(closed[:1])
-			// Later windows closed by the same E3 are discarded in
-			// Chronicle: each terminator accounts for one initiator.
-		case Cumulative:
-			emitWindow(closed)
-		default: // Unrestricted, Recent, Continuous: one composite per window
-			// Subslicing closed hands emitWindow a one-window view without
-			// the transient one-element slice a literal would allocate.
-			for i := range closed {
-				emitWindow(closed[i : i+1])
+		// Release the closed windows, then swap the live ones forward in
+		// order: the released slots, acc storage and all, end up past the
+		// new length.
+		live, k := 0, 0
+		for i := range n.windows {
+			if k < len(closed) && closed[k] == i {
+				k++
+				n.windows[i].release()
+				continue
+			}
+			n.windows[live], n.windows[i] = n.windows[i], n.windows[live]
+			live++
+		}
+		n.windows = n.windows[:live]
+	}
+}
+
+// emitWindows emits one A* composite for the windows at the indexes ws,
+// closed by the terminator o: initiators first, then the union of
+// accumulated E2s strictly inside the open interval, then the terminator.
+// An E2 shared by several merged windows appears once, where its first
+// window lists it.
+func (n *aperiodicNode) emitWindows(ws []int, o *event.Occurrence) {
+	cs := n.cs[:0]
+	for _, i := range ws {
+		cs = append(cs, n.windows[i].init)
+	}
+	for k, i := range ws {
+		for _, e2 := range n.windows[i].acc {
+			if event.StampLess(e2, o) && !n.listedBefore(ws[:k], e2) {
+				cs = append(cs, e2)
 			}
 		}
-		for _, w := range closed {
-			w.release()
+	}
+	n.cs = n.det.emitScratch(n.out, n.name, append(cs, o))
+}
+
+// listedBefore reports whether one of the windows at the indexes earlier
+// holds e2, for an E2 of a window merged after them.  Only a Cumulative
+// terminator merges windows, and there an E2 joins every open window whose
+// initiator precedes it.  The windows are oldest first, so each earlier
+// window was open when e2 arrived at the later one, and it holds e2 exactly
+// when its initiator precedes e2.  That is at most one stamp comparison
+// per earlier window, and one when the oldest window holds e2.
+func (n *aperiodicNode) listedBefore(earlier []int, e2 *event.Occurrence) bool {
+	for _, i := range earlier {
+		if event.StampLess(n.windows[i].init, e2) {
+			return true
 		}
 	}
+	return false
 }
 
 // periodicNode implements P(E1, [t], E3) and, with cumulative=true,
@@ -742,6 +770,8 @@ type periodicNode struct {
 	tickType string
 
 	windows []*pWindow
+	// cs is a P* emission's constituent list (emit copies it).
+	cs []*event.Occurrence
 }
 
 type pWindow struct {
@@ -787,11 +817,8 @@ func (n *periodicNode) onChild(idx int, o *event.Occurrence) {
 		for _, w := range n.windows {
 			if event.StampLess(w.init, o) {
 				if n.cumulative {
-					var constituents []*event.Occurrence
-					constituents = append(constituents, w.init)
-					constituents = append(constituents, w.acc...)
-					constituents = append(constituents, o)
-					n.det.emit(n.out, n.name, constituents...)
+					cs := append(append(n.cs[:0], w.init), w.acc...)
+					n.cs = n.det.emitScratch(n.out, n.name, append(cs, o))
 				}
 				w.close()
 			} else {

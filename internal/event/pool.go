@@ -143,6 +143,28 @@ func (p *Pool) GetPrimitive(typ string, class Class, stamp core.Stamp, idx core.
 	return o
 }
 
+// Get returns a blank pooled occurrence, carrying the creator's reference,
+// for a caller that fills the exported fields itself — the wire decoder.
+// Stamp and Interned come back empty over the occurrence's own storage
+// with room for n components (the inline singleton when n is 1), so
+// appending up to n components allocates nothing once the slot has held
+// as many; Constituents comes back empty with the capacity it had.
+func (p *Pool) Get(n int) *Occurrence {
+	o := p.get()
+	if n == 1 {
+		o.Stamp, o.Interned = o.stamp0[:0], o.istamp0[:0]
+		return o
+	}
+	if cap(o.sbuf) < n {
+		o.sbuf = make(core.SetStamp, 0, n)
+	}
+	if cap(o.ibuf) < n {
+		o.ibuf = make(core.RSetStamp, 0, n)
+	}
+	o.Stamp, o.Interned = o.sbuf[:0], o.ibuf[:0]
+	return o
+}
+
 // GetComposite is NewComposite from pooled storage: it retains every
 // constituent, folds the Max-set timestamp (Definition 5.9) in the
 // occurrence's reusable buffers, and — when every constituent carries an

@@ -1,8 +1,9 @@
 package network
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
@@ -25,7 +26,7 @@ func (r *refQueue) drain(now clock.Microticks) []Message {
 		}
 	}
 	r.pending = rest
-	sort.SliceStable(due, func(i, j int) bool { return due[i].DeliverAt < due[j].DeliverAt })
+	slices.SortStableFunc(due, func(a, b Message) int { return cmp.Compare(a.DeliverAt, b.DeliverAt) })
 	return due
 }
 

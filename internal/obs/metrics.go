@@ -29,7 +29,7 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -302,7 +302,7 @@ func (r *Registry) Snapshot() []Sample {
 			out = append(out, Sample{Name: name, Kind: kind, Value: value})
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortStableFunc(out, func(a, b Sample) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

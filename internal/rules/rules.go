@@ -19,9 +19,12 @@
 package rules
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/detector"
 	"repro/internal/event"
@@ -181,11 +184,11 @@ func (m *Manager) MustAdd(r Rule) *Rule {
 // insertByPriority keeps descending priority, ties by ascending name.
 func insertByPriority(rs []*Rule, r *Rule) []*Rule {
 	rs = append(rs, r)
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].Priority != rs[j].Priority {
-			return rs[i].Priority > rs[j].Priority
+	slices.SortStableFunc(rs, func(a, b *Rule) int {
+		if a.Priority != b.Priority {
+			return cmp.Compare(b.Priority, a.Priority)
 		}
-		return rs[i].Name < rs[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return rs
 }

@@ -24,9 +24,12 @@ func compositeEnvelope() (*Codec, Envelope) {
 }
 
 // TestCodecAllocs pins what the codec allocates per call once its pools
-// are warm: encoding a composite envelope nothing, decoding it no more
-// than the occurrences, stamps, params and constituent slice it hands
-// back, and decoding the three-envelope sample batch likewise.
+// are warm: encoding a composite envelope nothing; decoding it without an
+// occurrence pool no more than the occurrences, stamps, params and
+// constituent slice it hands back, and the three-envelope sample batch
+// likewise; and decoding parameterless events into an occurrence pool
+// nothing at all — a composite with its constituents, or a batch of
+// events and a heartbeat — when the caller releases what it decoded.
 func TestCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats sync.Pool caching")
@@ -42,6 +45,28 @@ func TestCodecAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	discard := func(Envelope) error { return nil }
+
+	pooled := *codec
+	pooled.Pool = event.NewPool(pooled.Roster)
+	bare := Envelope{Kind: KindEvent, RaisedAt: 5, Occ: event.NewComposite("AB", "hub",
+		event.NewPrimitive("A", event.Explicit, core.DeriveStamp("s1", 100, 10), nil),
+		event.NewPrimitive("B", event.Explicit, core.DeriveStamp("s2", 105, 10), nil))}
+	bareBuf, err := pooled.Encode(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bareBatch, err := pooled.AppendBatch(nil, []Envelope{
+		{Kind: KindEvent, RaisedAt: 5, Occ: bare.Occ.Constituents[0]},
+		{Kind: KindHeartbeat, Global: 11, RaisedAt: 110},
+		{Kind: KindEvent, RaisedAt: 6, Occ: bare.Occ.Constituents[1]},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := func(e Envelope) error {
+		e.Occ.Release()
+		return nil
+	}
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -50,6 +75,14 @@ func TestCodecAllocs(t *testing.T) {
 		{"Encode", 0, func() error { _, err := codec.Encode(env); return err }},
 		{"Decode", 17, func() error { _, err := codec.Decode(buf); return err }},
 		{"DecodeBatch", 12, func() error { return batchCodec.DecodeBatch(batch, discard) }},
+		{"Decode/pooled", 0, func() error {
+			e, err := pooled.Decode(bareBuf)
+			if err == nil {
+				e.Occ.Release()
+			}
+			return err
+		}},
+		{"DecodeBatch/pooled", 0, func() error { return pooled.DecodeBatch(bareBatch, release) }},
 	} {
 		n := testing.AllocsPerRun(100, func() {
 			if err := c.run(); err != nil {
@@ -60,5 +93,8 @@ func TestCodecAllocs(t *testing.T) {
 		if n > c.max {
 			t.Errorf("%s: %v allocs per call, want ≤ %v", c.name, n, c.max)
 		}
+	}
+	if ps := pooled.Pool.Stats(); ps.Gets == 0 || ps.Gets != ps.Puts || ps.DoublePuts != 0 {
+		t.Errorf("pooled decode: %+v, want every decoded occurrence recycled once", ps)
 	}
 }

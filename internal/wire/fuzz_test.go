@@ -134,19 +134,51 @@ var fuzzCodec = &Codec{
 	Types:   testRegistry(),
 }
 
-// exercise runs every decoder entry point over data; any panic or
-// unbounded allocation is the fuzzer's (or the corpus test's) failure, and
-// so is a frame DecodeFrontier takes that DecodeBatch reads differently.
+// fuzzPooled is fuzzCodec decoding into a Strict occurrence pool: a
+// decode error that released a partly built occurrence, or released one
+// twice, panics as a double put.
+var fuzzPooled = func() *Codec {
+	c := *fuzzCodec
+	c.Pool = event.NewPool(c.Roster)
+	c.Pool.Strict = true
+	return &c
+}()
+
+// releaseDecoded is the pooled DecodeBatch callback: it drops the
+// creator's reference of every decoded occurrence, so the next input
+// decodes into recycled storage.
+func releaseDecoded(e Envelope) error {
+	e.Occ.Release()
+	return nil
+}
+
+// exercise runs every decoder entry point over data, with and without an
+// occurrence pool; any panic or unbounded allocation is the fuzzer's (or
+// the corpus test's) failure, and so is a frame DecodeFrontier takes that
+// DecodeBatch reads differently.
 func exercise(data []byte) {
 	if IsBatch(data) {
 		_ = fuzzCodec.DecodeBatch(data, discard)
+		_ = fuzzPooled.DecodeBatch(data, releaseDecoded)
 	}
 	if msg := frontierDisagreement(fuzzCodec, data); msg != "" {
 		panic(msg)
 	}
 	_, _ = fuzzCodec.Decode(data)
+	if e, err := fuzzPooled.Decode(data); err == nil {
+		e.Occ.Release()
+	}
 	_, _ = DecodeOccurrence(data)
 	_, _ = DecodeRoster(data)
+}
+
+// checkNoDoublePut fails when the pooled decoder averted a double put
+// (Strict panics first; the counter is the second witness).
+func checkNoDoublePut(tb testing.TB) {
+	tb.Helper()
+	if ps := fuzzPooled.Pool.Stats(); ps.DoublePuts != 0 {
+		tb.Fatalf("pooled decode: %d double puts", ps.DoublePuts)
+	}
 }
 
 func FuzzDecode(f *testing.F) {
@@ -155,12 +187,14 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		exercise(data)
+		checkNoDoublePut(t)
 	})
 }
 
 // TestFuzzSeedsDontPanic pins the corpus in the normal test run: every
-// seed must decode cleanly or error — never panic — and the hostile ones
-// must error.
+// seed must decode cleanly or error — never panic, pooled or not — the
+// hostile ones must error, and the pooled decoder must never put an
+// occurrence twice.
 func TestFuzzSeedsDontPanic(t *testing.T) {
 	for i, s := range fuzzSeeds(t) {
 		func() {
@@ -171,6 +205,10 @@ func TestFuzzSeedsDontPanic(t *testing.T) {
 			}()
 			exercise(s)
 		}()
+	}
+	checkNoDoublePut(t)
+	if fuzzPooled.Pool.Stats().Gets == 0 {
+		t.Fatal("no seed decoded into the pool")
 	}
 }
 

@@ -97,7 +97,9 @@ func DecodeRoster(buf []byte) (*core.Roster, error) {
 // statelessly.  All three fields are required: a Codec missing one
 // returns an error from every method, it does not change format.
 //
-// Codec is immutable after construction and safe for concurrent use.
+// Codec is immutable after construction.  Without a Pool it is safe for
+// concurrent use; with one, decoding belongs to the goroutine that owns
+// the pool, like every other call on it.
 type Codec struct {
 	// Roster is the sealed membership site indexes refer to.
 	Roster *core.Roster
@@ -110,6 +112,13 @@ type Codec struct {
 	// name lookup.  Both ends must share the declaration order (in the
 	// simulator they share the registry itself).
 	Types *event.Registry
+	// Pool, when non-nil, supplies the storage of decoded occurrences:
+	// each comes back carrying the pool's creator reference, which the
+	// caller takes over (a composite's constituents are held by the
+	// composite).  An occurrence left partly built by a decode error is
+	// never released; it falls to the garbage collector.  Nil keeps
+	// fresh heap objects.
+	Pool *event.Pool
 }
 
 // check reports a Codec that cannot encode or decode anything.
@@ -259,8 +268,12 @@ func (c *Codec) occurrenceIdx(r *reader, depth int) (*event.Occurrence, error) {
 	if nStamps > maxComponents {
 		return nil, fmt.Errorf("%w: %d stamp components", ErrTruncated, nStamps)
 	}
-	stamp := make(core.SetStamp, 0, nStamps)
-	interned := make(core.RSetStamp, 0, nStamps)
+	var o *event.Occurrence
+	if c.Pool != nil {
+		o = c.Pool.Get(int(nStamps))
+	} else {
+		o = &event.Occurrence{Stamp: make(core.SetStamp, 0, nStamps), Interned: make(core.RSetStamp, 0, nStamps)}
+	}
 	for i := uint64(0); i < nStamps; i++ {
 		// The frame carries the dense index; materialize both forms in
 		// one pass, so decoded occurrences keep the interned stamp the
@@ -278,8 +291,8 @@ func (c *Codec) occurrenceIdx(r *reader, depth int) (*event.Occurrence, error) {
 		if err != nil {
 			return nil, err
 		}
-		stamp = append(stamp, core.Stamp{Site: c.Roster.ID(tsIdx), Global: g, Local: l})
-		interned = append(interned, core.RStamp{Site: tsIdx, Global: g, Local: l})
+		o.Stamp = append(o.Stamp, core.Stamp{Site: c.Roster.ID(tsIdx), Global: g, Local: l})
+		o.Interned = append(o.Interned, core.RStamp{Site: tsIdx, Global: g, Local: l})
 	}
 	params, err := r.params()
 	if err != nil {
@@ -292,16 +305,8 @@ func (c *Codec) occurrenceIdx(r *reader, depth int) (*event.Occurrence, error) {
 	if nKids > maxConstituents {
 		return nil, fmt.Errorf("%w: %d constituents", ErrTruncated, nKids)
 	}
-	o := &event.Occurrence{
-		Type:     typ,
-		TypeID:   typeID,
-		Class:    event.Class(classByte),
-		Site:     c.Roster.ID(site),
-		Seq:      seq,
-		Stamp:    stamp,
-		Interned: interned,
-		Params:   params,
-	}
+	o.Type, o.TypeID, o.Class = typ, typeID, event.Class(classByte)
+	o.Site, o.Seq, o.Params = c.Roster.ID(site), seq, params
 	for i := uint64(0); i < nKids; i++ {
 		k, err := c.occurrenceIdx(r, depth+1)
 		if err != nil {
