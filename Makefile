@@ -38,9 +38,17 @@ race:
 
 # The golden occurrence-stream and span-stream digests of the canonical
 # scenario and the pooling differentials (internal/ddetect/
-# determinism_test.go), by name.
+# determinism_test.go), and the release rule against its g + 1 oracle
+# (internal/ddetect/reorder_test.go), by name.  Each named test must
+# report PASS: a renamed or skipped one fails this target.
 determinism:
-	$(GO) test -race -run 'TestPipelineDeterminism|TestPoolingDeterminism|TestTracerComposesWithPooling' -v ./internal/ddetect
+	@mkdir -p bin
+	$(GO) test -race -run 'TestPipelineDeterminism|TestPoolingDeterminism|TestTracerComposesWithPooling|TestSiteOrderedReleaseMatchesThreshold' -v ./internal/ddetect > bin/determinism.log \
+		|| { cat bin/determinism.log; exit 1; }
+	@grep -- '^--- \|^ok' bin/determinism.log
+	@for t in TestPipelineDeterminism TestPoolingDeterminism TestTracerComposesWithPooling TestSiteOrderedReleaseMatchesThreshold; do \
+		grep -q -- "^--- PASS: $$t " bin/determinism.log || { echo "determinism: $$t did not run"; exit 1; }; \
+	done
 
 # The PR-5 tentpole regression: the full observability stack (tracer into
 # span log + flight recorder, metrics registry) must be a pure observer —

@@ -3,8 +3,11 @@ package ddetect
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
@@ -139,26 +142,64 @@ func runPipelineScenario(t testing.TB, seed int64) (log, spans []byte, st Stats)
 	return log, buf.Bytes(), st
 }
 
+// perDefDigest is the SHA-256 of an eventlog split by definition: each
+// definition's records, byte for byte and in their own publish order,
+// with the definitions taken in name order.  It is blind to how the
+// detections of different definitions interleave, which moves with the
+// release timing; it sees every change to what a definition detects.
+func perDefDigest(t testing.TB, log []byte) string {
+	parts := map[string][]byte{}
+	r := eventlog.NewReader(bytes.NewReader(log))
+	for start := int64(0); ; start = r.CleanOffset() {
+		o, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("eventlog: %v", err)
+		}
+		parts[o.Type] = append(parts[o.Type], log[start:r.CleanOffset()]...)
+	}
+	names := make([]string, 0, len(parts))
+	for name := range parts {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	h := sha256.New()
+	for _, name := range names {
+		h.Write(binary.AppendUvarint(nil, uint64(len(name))))
+		h.Write([]byte(name))
+		h.Write(binary.AppendUvarint(nil, uint64(len(parts[name]))))
+		h.Write(parts[name])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // pipelineGolden holds the SHA-256 of the eventlog and of the span stream
-// runPipelineScenario produces per seed.  The digests were recorded at
-// commit 0f84bd4 (identical there at Workers 0 and 4), the last one with a
-// parallel detect mode to compare against; they change only when the
-// engine's observable behaviour does, and whoever changes it re-records
-// them on purpose.
+// runPipelineScenario produces per seed, and the eventlog's per-definition
+// digest (perDefDigest).  The log and span digests were last re-recorded
+// when total-order release became site-ordered, which moved detections
+// earlier and changed how definitions interleave; they change only when
+// the engine's observable behaviour does, and whoever changes it
+// re-records them on purpose.  The per-definition digests were recorded
+// before that change and did not move with it: they change only when
+// what some definition detects does.
 var pipelineGolden = []struct {
-	seed       int64
-	detections uint64
-	log, spans string
+	seed               int64
+	detections         uint64
+	log, spans, perDef string
 }{
-	{5, 1311, "e8a642cb4d19064e679a6dc5f3e2f973b48c30c09fa3e36a4ee13165de59e5bf", "2b5168e4ba72c75dc5c2d852b7c90122eb44282b5e5d02e54fbd16c8501c06ca"},
-	{23, 1309, "c82a91f073e824debf6e3b22ffc128651f94f1aff859ab2f0f6db91e5407fb43", "e178c528310ee91c09226ac97672ca57d631a016d112d79172d073020d54423a"},
-	{41, 1340, "897f5cd3d3a42c8e9c85693af60f7e1b6bb06c69937b5cd1474ce0bf8e85d63f", "7825d06e5a941ceefb1e2a16963b9c13e4ca5b8a5a6f2d825a08225731f5fa10"},
+	{5, 1311, "75264db540308bc93fbac6e9ead3a62a898c4e7d8a328d77753cc40a120bb4d3", "6bf903d30e763a4be2901d564c8f9e4c2f68193de4e16d46b9e0f7063d0f2de6", "fa9523c255073ac62dc6f7b615faac9431a93d7bdb892c9d890bdb13f5d1dde8"},
+	{23, 1309, "bfa1b764e2b8024427a2ee459785f17ae1cc9c5e09216ee06b963fab363ae5b2", "73e74c03c2752c49e94ed2699b3b8d7b4389a17313001488935d385dc44e3ae4", "5ff38386753bedb16fb45a449444e00ea64d29d4acb0f13844f441464989cb88"},
+	{41, 1340, "f59bb0830a32f7d1df58e513d4b2000b691ff10e4ecfaf589ac5a9412ee4d5ed", "71318ef165b40d92d299c5ac81270a09c3119f19505a5e5ec6a05c9262991dfd", "13f43dbde8130a81eec12304365b41b237f2020fe84c93a194c3feb226d6df69"},
 }
 
 // TestPipelineDeterminism pins the occurrence stream and the span stream
 // of the canonical scenario, byte for byte, against recorded digests: the
 // stages may be rewritten, but what a seeded history detects — in which
-// order, with which stamps and lineage — may not drift.
+// order, with which stamps and lineage — may not drift.  The
+// per-definition digest separates the two: a change that only moves
+// detections in time re-records log and spans but not perDef.
 func TestPipelineDeterminism(t *testing.T) {
 	for _, g := range pipelineGolden {
 		log, spans, st := runPipelineScenario(t, g.seed)
@@ -170,6 +211,9 @@ func TestPipelineDeterminism(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(spans)); got != g.spans {
 			t.Errorf("seed=%d: span stream (%d bytes) digest %s, recorded %s", g.seed, len(spans), got, g.spans)
+		}
+		if got := perDefDigest(t, log); got != g.perDef {
+			t.Errorf("seed=%d: per-definition digest %s, recorded %s", g.seed, got, g.perDef)
 		}
 	}
 }

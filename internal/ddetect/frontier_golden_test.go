@@ -43,50 +43,60 @@ var transportModes = []struct {
 
 // frontierGolden holds, per scenario and transport mode, the SHA-256 of
 // the eventlog and of the span stream and the counters that are functions
-// of simulated time.  Recorded at commit 52d78ee, the last one whose
-// heartbeats travelled as envelopes in a run; they change only when the
-// delivery schedule or the engine's observable behaviour does.
+// of simulated time.  First recorded at commit 52d78ee, the last one whose
+// heartbeats travelled as envelopes in a run, and re-recorded when
+// total-order release became site-ordered (earlier releases, so earlier
+// forwards and other latencies); they change only when the delivery
+// schedule or the engine's observable behaviour does.
 var frontierGolden = map[string]struct{ log, spans, stats string }{
 	"overtaking/batched": {
-		"75c1cb51f2971d067e236a26d5a69977323e522c96cf7c3fa72d1074acb49b9d",
-		"4b5065b1c172a36c1182c993a1bcfb00d07c757567e59ba5abfc2045f85f07c2",
-		"raised=400 fwd=751 hb=2730 rel=885 det=585 unc=0 latsum=449918 latmax=909 sent=3262 dlv=3224 rtx=345 inflight=65 env=3481 batches=213 bytes=0 raise_to_send=485/11407/100 send_to_recv=482/94706/654 recv_to_release=495/84172/590 raise_to_release_local=0/0/0 release_to_publish=1170/356495/4097",
+		"b1042eb2669e04d4b6d1a89de0f6cef7ea65b56a8e2fe6bf10dda6d286e7a9fb",
+		"083c26add773cfde9ae7ebc7747ed3f6b4b8412fad8fbb13af77154ff4be71b1",
+		"raised=400 fwd=751 hb=2730 rel=885 det=585 unc=0 latsum=408639 latmax=861 sent=3264 dlv=3226 rtx=346 inflight=65 env=3481 batches=212 bytes=0 raise_to_send=485/11407/100 send_to_recv=478/89714/465 recv_to_release=506/67404/514 raise_to_release_local=0/0/0 release_to_publish=1170/351296/4110",
 	},
 	"overtaking/unbatched": {
-		"75c1cb51f2971d067e236a26d5a69977323e522c96cf7c3fa72d1074acb49b9d",
-		"4b5065b1c172a36c1182c993a1bcfb00d07c757567e59ba5abfc2045f85f07c2",
-		"raised=400 fwd=751 hb=2730 rel=885 det=585 unc=0 latsum=449918 latmax=909 sent=3481 dlv=3443 rtx=345 inflight=69 env=3481 batches=0 bytes=0 raise_to_send=485/11407/100 send_to_recv=482/94706/654 recv_to_release=495/84172/590 raise_to_release_local=0/0/0 release_to_publish=1170/356495/4097",
+		"b1042eb2669e04d4b6d1a89de0f6cef7ea65b56a8e2fe6bf10dda6d286e7a9fb",
+		"083c26add773cfde9ae7ebc7747ed3f6b4b8412fad8fbb13af77154ff4be71b1",
+		"raised=400 fwd=751 hb=2730 rel=885 det=585 unc=0 latsum=408639 latmax=861 sent=3481 dlv=3443 rtx=346 inflight=69 env=3481 batches=0 bytes=0 raise_to_send=485/11407/100 send_to_recv=478/89714/465 recv_to_release=506/67404/514 raise_to_release_local=0/0/0 release_to_publish=1170/351296/4110",
 	},
 	"overtaking/serialized": {
-		"75c1cb51f2971d067e236a26d5a69977323e522c96cf7c3fa72d1074acb49b9d",
-		"0bf8d2c7136ef6462c7c029a764de907a2cbfdf4bc0fda799866ec73b2d58584",
-		"raised=400 fwd=751 hb=2730 rel=885 det=585 unc=0 latsum=449918 latmax=909 sent=3262 dlv=3224 rtx=345 inflight=65 env=3481 batches=213 bytes=39701 raise_to_send=485/11407/100 send_to_recv=0/0/0 recv_to_release=751/184927/733 raise_to_release_local=0/0/0 release_to_publish=1170/374724/4097",
+		"b1042eb2669e04d4b6d1a89de0f6cef7ea65b56a8e2fe6bf10dda6d286e7a9fb",
+		"c773271559e594825dfef50903c4c74c5e521d3c9742cbb5a6b6ea0932cbfa3b",
+		"raised=400 fwd=751 hb=2730 rel=885 det=585 unc=0 latsum=408639 latmax=861 sent=3264 dlv=3226 rtx=346 inflight=65 env=3481 batches=212 bytes=39705 raise_to_send=485/11407/100 send_to_recv=0/0/0 recv_to_release=751/152644/631 raise_to_release_local=0/0/0 release_to_publish=1170/371395/4110",
 	},
 	"overtaking/serialized-unbatched": {
-		"75c1cb51f2971d067e236a26d5a69977323e522c96cf7c3fa72d1074acb49b9d",
-		"0bf8d2c7136ef6462c7c029a764de907a2cbfdf4bc0fda799866ec73b2d58584",
-		"raised=400 fwd=751 hb=2730 rel=885 det=585 unc=0 latsum=449918 latmax=909 sent=3481 dlv=3443 rtx=345 inflight=69 env=3481 batches=0 bytes=29696 raise_to_send=485/11407/100 send_to_recv=0/0/0 recv_to_release=751/184927/733 raise_to_release_local=0/0/0 release_to_publish=1170/374724/4097",
+		"b1042eb2669e04d4b6d1a89de0f6cef7ea65b56a8e2fe6bf10dda6d286e7a9fb",
+		"c773271559e594825dfef50903c4c74c5e521d3c9742cbb5a6b6ea0932cbfa3b",
+		"raised=400 fwd=751 hb=2730 rel=885 det=585 unc=0 latsum=408639 latmax=861 sent=3481 dlv=3443 rtx=346 inflight=69 env=3481 batches=0 bytes=29696 raise_to_send=485/11407/100 send_to_recv=0/0/0 recv_to_release=751/152644/631 raise_to_release_local=0/0/0 release_to_publish=1170/371395/4110",
 	},
 	"coarse-step/batched": {
-		"d85d11efc17b0539431048baf8c37c94528ce82a543fdfbd0d790fe9aa5d03ad",
-		"1625c0ced4cd2e6d9fa94bd677aee1a056d5e26783fb18292456343aff382451",
-		"raised=400 fwd=750 hb=2295 rel=884 det=601 unc=0 latsum=1566700 latmax=2000 sent=285 dlv=270 rtx=10 inflight=31 env=3045 batches=252 bytes=0 raise_to_send=484/382000/1000 send_to_recv=484/437200/1000 recv_to_release=484/300/100 raise_to_release_local=0/0/0 release_to_publish=1202/494600/5000",
+		"0ba0ad8bb0828b37190a754aaece16b8b9eaacb318c51e52e7cbb65990bd66d9",
+		"25234142635c8ff53c283969e3aa43dd89f710c4ffbb501820a2d5a172eeb78b",
+		"raised=400 fwd=750 hb=2295 rel=884 det=601 unc=0 latsum=1539300 latmax=2000 sent=285 dlv=270 rtx=10 inflight=31 env=3045 batches=252 bytes=0 raise_to_send=484/382000/1000 send_to_recv=453/409800/1000 recv_to_release=484/300/100 raise_to_release_local=0/0/0 release_to_publish=1202/466900/5000",
 	},
 	"coarse-step/unbatched": {
-		"d85d11efc17b0539431048baf8c37c94528ce82a543fdfbd0d790fe9aa5d03ad",
-		"1625c0ced4cd2e6d9fa94bd677aee1a056d5e26783fb18292456343aff382451",
-		"raised=400 fwd=750 hb=2295 rel=884 det=601 unc=0 latsum=1566700 latmax=2000 sent=3045 dlv=3030 rtx=10 inflight=416 env=3045 batches=0 bytes=0 raise_to_send=484/382000/1000 send_to_recv=484/437200/1000 recv_to_release=484/300/100 raise_to_release_local=0/0/0 release_to_publish=1202/494600/5000",
+		"0ba0ad8bb0828b37190a754aaece16b8b9eaacb318c51e52e7cbb65990bd66d9",
+		"25234142635c8ff53c283969e3aa43dd89f710c4ffbb501820a2d5a172eeb78b",
+		"raised=400 fwd=750 hb=2295 rel=884 det=601 unc=0 latsum=1539300 latmax=2000 sent=3045 dlv=3030 rtx=10 inflight=417 env=3045 batches=0 bytes=0 raise_to_send=484/382000/1000 send_to_recv=453/409800/1000 recv_to_release=484/300/100 raise_to_release_local=0/0/0 release_to_publish=1202/466900/5000",
 	},
 	"coarse-step/serialized": {
-		"d85d11efc17b0539431048baf8c37c94528ce82a543fdfbd0d790fe9aa5d03ad",
-		"f7ae8870782960d8fd5d189b9ac5e48c804c373f59dfdc00e9abb646a15c6dd8",
-		"raised=400 fwd=750 hb=2295 rel=884 det=601 unc=0 latsum=1566700 latmax=2000 sent=285 dlv=270 rtx=10 inflight=31 env=3045 batches=252 bytes=30968 raise_to_send=484/382000/1000 send_to_recv=0/0/0 recv_to_release=750/300/100 raise_to_release_local=0/0/0 release_to_publish=1202/494600/5000",
+		"0ba0ad8bb0828b37190a754aaece16b8b9eaacb318c51e52e7cbb65990bd66d9",
+		"70321d59f9be416e02c461d155136ace138767a6965cb757fd999cc0ba46fbca",
+		"raised=400 fwd=750 hb=2295 rel=884 det=601 unc=0 latsum=1539300 latmax=2000 sent=285 dlv=270 rtx=10 inflight=31 env=3045 batches=252 bytes=30966 raise_to_send=484/382000/1000 send_to_recv=0/0/0 recv_to_release=750/300/100 raise_to_release_local=0/0/0 release_to_publish=1202/480900/5000",
 	},
 	"coarse-step/serialized-unbatched": {
-		"d85d11efc17b0539431048baf8c37c94528ce82a543fdfbd0d790fe9aa5d03ad",
-		"f7ae8870782960d8fd5d189b9ac5e48c804c373f59dfdc00e9abb646a15c6dd8",
-		"raised=400 fwd=750 hb=2295 rel=884 det=601 unc=0 latsum=1566700 latmax=2000 sent=3045 dlv=3030 rtx=10 inflight=416 env=3045 batches=0 bytes=27353 raise_to_send=484/382000/1000 send_to_recv=0/0/0 recv_to_release=750/300/100 raise_to_release_local=0/0/0 release_to_publish=1202/494600/5000",
+		"0ba0ad8bb0828b37190a754aaece16b8b9eaacb318c51e52e7cbb65990bd66d9",
+		"70321d59f9be416e02c461d155136ace138767a6965cb757fd999cc0ba46fbca",
+		"raised=400 fwd=750 hb=2295 rel=884 det=601 unc=0 latsum=1539300 latmax=2000 sent=3045 dlv=3030 rtx=10 inflight=417 env=3045 batches=0 bytes=27351 raise_to_send=484/382000/1000 send_to_recv=0/0/0 recv_to_release=750/300/100 raise_to_release_local=0/0/0 release_to_publish=1202/480900/5000",
 	},
+}
+
+// frontierPerDef is each scenario's per-definition digest (perDefDigest),
+// the same in every transport mode: it changes only when what some
+// definition detects does.
+var frontierPerDef = map[string]string{
+	"overtaking":  "15eaee82625beb7cc2b0a7c72e1719d0602ca67ded12ab24681b2fb5fec5cc5d",
+	"coarse-step": "b17eab9177980c1482133518d002c92d8d5bfbe582644d4147f9678f56751a58",
 }
 
 // statsLine renders the deterministic part of Stats: everything but the
@@ -139,6 +149,9 @@ func TestFrontierPathGolden(t *testing.T) {
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(spans.Bytes())); got != want.spans {
 				t.Errorf("%s: span stream (%d bytes) digest %s, recorded %s", name, spans.Len(), got, want.spans)
+			}
+			if got := perDefDigest(t, log); got != frontierPerDef[sc.name] {
+				t.Errorf("%s: per-definition digest %s, recorded %s", name, got, frontierPerDef[sc.name])
 			}
 			if got := statsLine(st); got != want.stats {
 				t.Errorf("%s: stats\n got %s\nwant %s", name, got, want.stats)

@@ -17,17 +17,23 @@
 //  2. Watermark release: every site periodically heartbeats its current
 //     global time.  Because local clocks are monotone, a source whose
 //     frontier (last in-order global time) is w can never again emit an
-//     event with global time < w.  Under the default ReleaseTotalOrder a
-//     buffered event with maximal global component g is released once min
-//     over all frontiers ≥ g + 1: every event still to arrive then has a
-//     global time above g, so none can happen before the released event
-//     (Definition 4.7) nor sort ahead of it.  Released events are
-//     published in (global, site, local) order, a linear extension of <
-//     for the primitive (singleton-stamp) occurrences exchanged between
-//     sites.  The exception is ReleaseExtension, which releases as soon as
-//     min over all frontiers ≥ g − 1: any future event f then has
-//     g_f ≥ g − 1, which still rules out f happening before the released
-//     event, but no longer fixes the order among concurrent ones.
+//     event with global time < w.  Released events are published in
+//     ascending (global, site, local, arrival) key order, a linear
+//     extension of < for the primitive (singleton-stamp) occurrences
+//     exchanged between sites.  Under the default ReleaseTotalOrder the
+//     heap's top, keyed (g, s_e, …), is released as soon as that order
+//     fixes its place: once every gating source s has frontier f_s > g,
+//     or f_s = g and s ≥ s_e.  A primitive source s at frontier f never
+//     again sends a key below (f, s, ·), which sorts after the top when
+//     s > s_e; when s = s_e the top came down s's own stream, and FIFO
+//     order, s's monotone local clock and the arrival tie-break put every
+//     later key of s after it.  So nothing still to arrive can happen
+//     before the released event (Definition 4.7) or sort ahead of it:
+//     the 2g_g precedence orders events only across granules, and inside
+//     one the key decides.  The exception is ReleaseExtension, which
+//     releases as soon as min over all frontiers ≥ g − 1: any future event
+//     f then has g_f ≥ g − 1, which still rules out f happening before the
+//     released event, but no longer fixes the order among concurrent ones.
 //
 // For hierarchically forwarded *composite* occurrences the (global, site,
 // local) key is still used with the stamp's maximal global component;
@@ -35,7 +41,12 @@
 // released in an order that swaps a happen-before pair (never producing a
 // false detection — only possibly missing one).  The default deployment —
 // each definition fully evaluated at one hosting site over primitive
-// streams — is exact.
+// streams — is exact.  Because a composite's key site is not its
+// sender's, the site argument above covers neither side of a forward: a
+// source that forwards composites to a reorderer (marked at System.seal)
+// holds every key at its frontier's global until the frontier passes it,
+// and a forwarded composite keyed by site s is held while s itself is at
+// its global, since s's own earlier events may still be in flight.
 //
 // All per-source state is indexed by dense roster index (core.Site), not
 // by SiteID string: a full-membership reorderer (an event sink's) holds
@@ -66,6 +77,14 @@ type sourceState struct {
 	nextSeq  uint64
 	pending  *seqRing
 	frontier int64
+	// rank is the lowest key site the source may still send at the global
+	// of its frontier: its roster index, or forwarderSite once it is
+	// marked as forwarding composite occurrences here (System.seal).  A
+	// composite's release key carries the site of its max-global
+	// component, not its sender's, so a forwarder's frontier f bounds
+	// only the global of what it still sends: it holds every key at
+	// global f until its frontier passes f.
+	rank core.Site
 	// excluded marks a decommissioned source: its frontier no longer
 	// gates the watermark (see System.Decommission).
 	excluded bool
@@ -128,6 +147,12 @@ type reorderer struct {
 	// a site whose frontiers did not move pays one flag check.
 	minF     int64
 	minDirty bool
+	// lowAt, recomputed with minF, is the lowest rank among the gating
+	// sources whose frontier is minF: the lowest key site those sources
+	// may still send at global minF.
+	lowAt core.Site
+	// forwarders lists the slots of the sources ranked forwarderSite.
+	forwarders []int
 	// stale records that something release-relevant changed (an event
 	// ingested, a frontier advanced, a source excluded) since the last
 	// release call; a clean reorderer's release is an immediate no-op.
@@ -145,7 +170,7 @@ func newReorderer(roster *core.Roster) *reorderer {
 		minDirty: true,
 	}
 	for i := range r.sources {
-		r.sources[i] = sourceState{nextSeq: 1, frontier: math.MinInt64}
+		r.sources[i] = sourceState{nextSeq: 1, frontier: math.MinInt64, rank: core.Site(i)}
 	}
 	return r
 }
@@ -157,7 +182,7 @@ func newSelfReorderer(roster *core.Roster, self core.Site) *reorderer {
 	return &reorderer{
 		roster:   roster,
 		self:     self,
-		sources:  []sourceState{{nextSeq: 1, frontier: math.MinInt64}},
+		sources:  []sourceState{{nextSeq: 1, frontier: math.MinInt64, rank: self}},
 		gating:   1,
 		minDirty: true,
 	}
@@ -336,7 +361,9 @@ func (r *reorderer) ingest(st *sourceState, env wire.Envelope) {
 			r.minDirty = true
 		}
 		r.arrival++
-		r.ready.push(readyItem{env: env, key: r.releaseKey(env.Occ, r.arrival)})
+		k := r.releaseKey(env.Occ, r.arrival)
+		k.own = k.site == st.rank
+		r.ready.push(readyItem{env: env, key: k})
 		r.stale = true
 	case wire.KindHeartbeat:
 		r.advance(st, env.Global)
@@ -361,10 +388,14 @@ func (r *reorderer) setFrontier(from core.Site, g int64) {
 	}
 }
 
+// forwarderSite is a composite forwarder's rank: below every roster index,
+// since its composites may carry any site.
+const forwarderSite core.Site = -1
+
 // minFrontier returns the minimum frontier over the sources still gating
-// the watermark, recomputing the cache only after a frontier actually
-// moved.  With every source excluded there is nothing left to wait for
-// and buffered events release unconditionally.
+// the watermark, recomputing the cache (and lowAt with it) only after a
+// frontier actually moved.  With every source excluded there is nothing
+// left to wait for and buffered events release unconditionally.
 func (r *reorderer) minFrontier() int64 {
 	if !r.minDirty {
 		return r.minF
@@ -374,18 +405,37 @@ func (r *reorderer) minFrontier() int64 {
 		r.minF = math.MaxInt64
 		return r.minF
 	}
-	min := int64(math.MaxInt64)
+	// A forwarder ranks below every site at its frontier, so forwarders
+	// go first.  After them, ranks ascend with the slots, so the first
+	// source found at a lower frontier has the lowest rank there: one
+	// comparison per source, as for the minimum alone.
+	min, low := int64(math.MaxInt64), core.Site(math.MaxInt32)
+	for _, i := range r.forwarders {
+		if st := &r.sources[i]; !st.excluded && st.frontier < min {
+			min, low = st.frontier, forwarderSite
+		}
+	}
 	for i := range r.sources {
 		st := &r.sources[i]
 		if st.excluded {
 			continue
 		}
 		if st.frontier < min {
-			min = st.frontier
+			min, low = st.frontier, st.rank
 		}
 	}
-	r.minF = min
+	r.minF, r.lowAt = min, low
 	return min
+}
+
+// forwarding marks a source as one that forwards composite occurrences to
+// this reorderer (see sourceState.rank).
+func (r *reorderer) forwarding(from core.Site) {
+	if i := r.slot(from); i >= 0 && r.sources[i].rank != forwarderSite {
+		r.sources[i].rank = forwarderSite
+		r.forwarders = append(r.forwarders, i)
+		r.minDirty = true
+	}
 }
 
 // exclude removes a source from watermark gating.  Its already-buffered
@@ -404,12 +454,14 @@ func (r *reorderer) exclude(from core.Site) {
 type ReleaseMode int
 
 const (
-	// ReleaseTotalOrder (the default) releases an event with maximal
-	// global component g only once every frontier is at least g+1, so no
-	// event with global ≤ g can still arrive.  The release sequence is
-	// then globally sorted by (global, site, local) — a deterministic
-	// total order identical to a centralized detector fed the same
-	// stamps — at the cost of up to two extra granules of latency.
+	// ReleaseTotalOrder (the default) releases an event keyed (g, s, …)
+	// once no key below it can still arrive: every gating frontier is
+	// above g, or at g on a source that sorts at or after s (see the
+	// package comment for why that is safe, and for forwarded
+	// composites).  The release sequence is globally sorted by (global,
+	// site, local) — a deterministic total order identical to a
+	// centralized detector fed the same stamps — at the cost of waiting
+	// for the sources at g that sort before s to pass g.
 	ReleaseTotalOrder ReleaseMode = iota
 	// ReleaseExtension releases as soon as no *happen-before* violation
 	// is possible (g ≤ min frontier + 1).  Lowest latency; the sequence
@@ -440,9 +492,11 @@ func (m ReleaseMode) slack() int64 {
 	return -1
 }
 
-// releaseInto pops every stable event — maximal global component at most
-// minFrontier + slack(mode) — in (global, site, local, arrival) order,
-// appending to the caller-owned dst and returning the extended slice.
+// releaseInto pops every stable event in (global, site, local, arrival)
+// order, appending to the caller-owned dst and returning the extended
+// slice.  An event is stable once its maximal global component is at
+// most minFrontier + slack(mode), or once placed: under ReleaseExtension
+// the first condition already covers the second.
 //
 // A reorderer nothing touched since its last release returns immediately:
 // no event arrived and no frontier moved, so the stable set cannot have
@@ -458,10 +512,22 @@ func (r *reorderer) releaseInto(mode ReleaseMode, dst []wire.Envelope) []wire.En
 	if minF == math.MinInt64 {
 		return dst
 	}
-	for len(r.ready) > 0 && r.ready[0].key.global <= minF+mode.slack() {
+	for len(r.ready) > 0 {
+		if top := r.ready[0].key; top.global > minF+mode.slack() && !r.placed(top) {
+			break
+		}
 		dst = append(dst, r.ready.pop().env)
 	}
 	return dst
+}
+
+// placed reports that no key below k can still arrive, k's global being
+// the minimum frontier: every gating source at that frontier ranks above
+// k's site, or at it when k came down that source's own stream.  A
+// primitive source at frontier f only ever sends keys of (f, its own
+// site, …) or above, and its own later keys sort after its earlier ones.
+func (r *reorderer) placed(k key) bool {
+	return k.global == r.minF && (k.site < r.lowAt || k.site == r.lowAt && k.own)
 }
 
 // pendingEvents reports buffered FIFO gaps plus unreleased ready events,
@@ -475,8 +541,13 @@ func (r *reorderer) pendingEvents() int { return r.buffered + len(r.ready) }
 // preserves SiteID order, so the integer compare in less orders exactly
 // as the string compare it replaced.
 type key struct {
-	global  int64
-	site    core.Site
+	global int64
+	site   core.Site
+	// own reports that the event arrived on the stream of the site it is
+	// keyed by, from a source that forwards no composites: then that
+	// source's later keys at the same global sort after it (see placed).
+	// It takes no part in the order.
+	own     bool
 	local   int64
 	arrival uint64
 }

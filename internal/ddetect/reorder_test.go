@@ -519,3 +519,145 @@ func TestReorderAllocs(t *testing.T) {
 		t.Errorf("%v allocs per out-of-order round, want 0", n)
 	}
 }
+
+// thresholdRelease is the total-order rule the site-ordered one replaced,
+// kept as the differential oracle: pop while the top's global is below
+// every gating frontier, so that nothing with global ≤ g can still arrive.
+func thresholdRelease(r *reorderer, dst []wire.Envelope) []wire.Envelope {
+	minF := r.minFrontier()
+	if minF == math.MinInt64 {
+		return dst
+	}
+	for len(r.ready) > 0 && r.ready[0].key.global < minF {
+		dst = append(dst, r.ready.pop().env)
+	}
+	return dst
+}
+
+// releaseLink draws one source's messages in emission order: event runs
+// and lone frontiers whose globals rise by 0 or 1 per message, so several
+// sources often share the global an event waits on.  A primitive source
+// stamps its own site with a rising local clock; a forwarder's events
+// are composites whose max-global component names any site.  Unless the
+// link ends silent, its last message is a frontier far past every event.
+func releaseLink(rng *rand.Rand, roster *core.Roster, from core.Site, forwards, silent bool, n int) []ringMsg {
+	id := roster.ID(from)
+	g, local := rng.Int63n(3), int64(0)
+	msgs := make([]ringMsg, 0, n+1)
+	for len(msgs) < n {
+		g += rng.Int63n(2)
+		if rng.Intn(3) == 0 {
+			msgs = append(msgs, ringMsg{msgFrontier, []wire.Envelope{{Kind: wire.KindHeartbeat, Global: g}}})
+			continue
+		}
+		run := make([]wire.Envelope, 1+rng.Intn(3))
+		for j := range run {
+			local++
+			stamp := core.Stamp{Site: id, Global: g, Local: local}
+			occ := event.NewPrimitive("A", event.Explicit, stamp, nil)
+			if forwards {
+				stamp.Site = roster.ID(core.Site(rng.Intn(roster.Len())))
+				occ = event.NewComposite("C", id, event.NewPrimitive("A", event.Explicit, stamp, nil))
+			}
+			run[j] = wire.Envelope{Kind: wire.KindEvent, Occ: occ}
+		}
+		msgs = append(msgs, ringMsg{msgRun, run})
+	}
+	if !silent {
+		msgs = append(msgs, ringMsg{msgFrontier, []wire.Envelope{{Kind: wire.KindHeartbeat, Global: math.MaxInt64 / 2}}})
+	}
+	return msgs
+}
+
+// TestSiteOrderedReleaseMatchesThreshold drives the release rule and its
+// g + 1 oracle with the same random FIFO schedules over 2–6 sources —
+// event runs and frontiers, each link's sequence numbers arriving out of
+// order, one source silent and excluded after its last message, and on
+// half the schedules one source forwarding composites — calling both
+// after every arrival.  The rule must pop exactly the oracle's sequence,
+// each event at the oracle's call or an earlier one, and strictly earlier
+// on some schedules: a source at the held event's global holds it only
+// if it sorts below the event's site, forwards composites, or is the site
+// a forwarded composite is keyed by.
+func TestSiteOrderedReleaseMatchesThreshold(t *testing.T) {
+	earlier, total := 0, 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(5)
+		ids := make([]core.SiteID, n)
+		for i := range ids {
+			ids[i] = core.SiteID(fmt.Sprintf("s%d", i))
+		}
+		roster := core.NewRoster(ids)
+		forwarder, silent := core.NoSite, core.Site(rng.Intn(n))
+		if rng.Intn(2) == 0 {
+			forwarder = core.Site(rng.Intn(n))
+		}
+		rule, oracle := newReorderer(roster), newReorderer(roster)
+		if forwarder != core.NoSite {
+			rule.forwarding(forwarder)
+			oracle.forwarding(forwarder)
+		}
+		links := make([][]ringMsg, n)
+		orders := make([][]uint64, n)
+		arrivals := 0
+		for i := range links {
+			from := core.Site(i)
+			links[i] = releaseLink(rng, roster, from, from == forwarder, from == silent, 20+rng.Intn(30))
+			arrivals += len(links[i])
+			orders[i] = make([]uint64, len(links[i]))
+			for k := range orders[i] {
+				orders[i][k] = uint64(k + 1)
+			}
+			for k := 0; k+1 < len(orders[i]); k++ {
+				if rng.Intn(3) == 0 {
+					orders[i][k], orders[i][k+1] = orders[i][k+1], orders[i][k]
+				}
+			}
+		}
+		ruleCall := map[*event.Occurrence]int{}
+		var ruleSeq, oracleSeq []*event.Occurrence
+		var out []wire.Envelope
+		for call := 0; call < arrivals; call++ {
+			i := rng.Intn(n)
+			for len(orders[i]) == 0 {
+				i = (i + 1) % n
+			}
+			from, seq := core.Site(i), orders[i][0]
+			orders[i] = orders[i][1:]
+			for _, r := range []*reorderer{rule, oracle} {
+				if err := deliver(r, from, seq, links[i][seq-1]); err != nil {
+					t.Fatalf("seed %d: seq %d from %d: %v", seed, seq, i, err)
+				}
+				if from == silent && len(orders[i]) == 0 {
+					r.exclude(from)
+				}
+			}
+			out = rule.releaseInto(ReleaseTotalOrder, out[:0])
+			for _, env := range out {
+				ruleCall[env.Occ] = call
+				ruleSeq = append(ruleSeq, env.Occ)
+			}
+			out = thresholdRelease(oracle, out[:0])
+			for _, env := range out {
+				k := len(oracleSeq)
+				oracleSeq = append(oracleSeq, env.Occ)
+				if k >= len(ruleSeq) || ruleSeq[k] != env.Occ {
+					t.Fatalf("seed %d, call %d: the oracle's release %d is not the rule's, or comes first", seed, call, k)
+				}
+				if ruleCall[env.Occ] < call {
+					earlier++
+				}
+			}
+		}
+		if len(ruleSeq) != len(oracleSeq) || rule.pendingEvents() != 0 || oracle.pendingEvents() != 0 {
+			t.Fatalf("seed %d: rule released %d, oracle %d; %d and %d still pending",
+				seed, len(ruleSeq), len(oracleSeq), rule.pendingEvents(), oracle.pendingEvents())
+		}
+		total += len(ruleSeq)
+	}
+	t.Logf("%d of %d events released at an earlier call than the oracle's", earlier, total)
+	if earlier == 0 {
+		t.Fatal("the rule never released before the oracle; the comparison is vacuous")
+	}
+}

@@ -951,6 +951,19 @@ func (sys *System) seal() {
 			s.re = newSelfReorderer(sys.roster, s.idx)
 		}
 	}
+	// A host that forwards a composite definition to another site sends
+	// keys whose site is not its own: that sink's reorderer marks it so.
+	for _, s := range sys.sites {
+		for _, def := range s.det.Definitions() {
+			if rec := sys.defs[def.Name]; rec != nil {
+				for _, dst := range rec.needers {
+					if dst != s.idx {
+						sys.sites[dst].re.forwarding(s.idx)
+					}
+				}
+			}
+		}
+	}
 	sys.coal.seal(len(sys.sites), sys.hbSinks)
 }
 

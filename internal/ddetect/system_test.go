@@ -493,35 +493,109 @@ func TestReleaseWaitsForAllFrontiers(t *testing.T) {
 	}
 }
 
+// TestTotalOrderReleaseIsStricter pins the site-ordered total-order rule
+// case by case, for an event keyed by source b at global 10 among sources
+// a < b < c: stricter than ReleaseExtension (nothing at min frontier 9),
+// held by a lower-index source whose frontier is still 10, not held by a
+// higher-index one or by b itself at 10, and held by any source at 10
+// that forwards composites, whatever its index.  A composite forwarded by
+// c and keyed by b is held by b at 10 as well: b's own events still in
+// flight may sort below it.
 func TestTotalOrderReleaseIsStricter(t *testing.T) {
-	roster := core.NewRoster([]core.SiteID{"a", "b"})
-	a, b := roster.MustSite("a"), roster.MustSite("b")
-	r := newReorderer(roster)
-	occ := event.NewPrimitive("A", event.Explicit, core.DeriveStamp("a", 100, 10), nil)
-	if err := r.accept(a, 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
+	roster := core.NewRoster([]core.SiteID{"a", "b", "c"})
+	a, b, c := roster.MustSite("a"), roster.MustSite("b"), roster.MustSite("c")
+	prim := event.NewPrimitive("B", event.Explicit, core.DeriveStamp("b", 100, 10), nil)
+	type frontier struct {
+		from   core.Site
+		global int64
+	}
+	for _, tc := range []struct {
+		name      string
+		forwarder core.Site // core.NoSite: no source forwards composites
+		via       core.Site // the stream the event arrives on: b, or the forwarder
+		steps     []frontier
+		want      []int // released after each step
+	}{
+		// min frontier 9: extension would release (10 ≤ 9 + 1), total
+		// order waits; a at 10 sorts below b and still holds it; a past 10
+		// releases with b (own source) and c (higher index) at 10.
+		{"lower index holds", core.NoSite, b,
+			[]frontier{{c, 10}, {a, 9}, {a, 10}, {a, 11}}, []int{0, 0, 0, 1}},
+		// c at 10 sorts above b: it holds nothing once a has passed 10.
+		{"higher index does not", core.NoSite, b,
+			[]frontier{{a, 11}, {c, 9}, {c, 10}}, []int{0, 0, 1}},
+		// b's own later events sort after the held one: FIFO order, a
+		// monotone local clock and the arrival tie-break.
+		{"own source does not", core.NoSite, b,
+			[]frontier{{c, 11}, {a, 11}}, []int{0, 1}},
+		// A composite from c may carry any site at global 10, so c must
+		// pass 10 even though its index is above b's.
+		{"forwarder holds", c, b,
+			[]frontier{{a, 11}, {c, 10}, {c, 11}}, []int{0, 0, 1}},
+		{"keyed source holds a forwarded composite", c, c,
+			[]frontier{{a, 11}, {c, 11}, {b, 10}, {b, 11}}, []int{0, 0, 0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReorderer(roster)
+			if tc.forwarder != core.NoSite {
+				r.forwarding(tc.forwarder)
+			}
+			occ := prim
+			if tc.via != b {
+				occ = event.NewComposite("C", roster.ID(tc.via), prim)
+			}
+			seqs := map[core.Site]uint64{tc.via: 1}
+			if err := r.accept(tc.via, 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
+				t.Fatal(err)
+			}
+			for k, f := range tc.steps {
+				seqs[f.from]++
+				if err := r.accept(f.from, seqs[f.from], wire.Envelope{Kind: wire.KindHeartbeat, Global: f.global}); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != tc.want[k] {
+					t.Fatalf("after frontier %s=%d: released %d, want %d",
+						roster.ID(f.from), f.global, n, tc.want[k])
+				}
+			}
+		})
+	}
+}
+
+// TestSealMarksCompositeForwarders pins the wiring of the forwarder
+// guard: sealing marks, in each sink's reorderer, exactly the hosts that
+// forward a composite definition to it.
+func TestSealMarksCompositeForwarders(t *testing.T) {
+	sys := MustNewSystem(Config{Net: network.Config{BaseLatency: 10}})
+	for _, id := range []core.SiteID{"s1", "s2", "s3"} {
+		sys.MustAddSite(id, 0, 0)
+	}
+	for _, n := range []string{"A", "B", "C"} {
+		if err := sys.Declare(n, event.Explicit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.DefineAt("s1", "L1", "A ; B", detector.Chronicle); err != nil {
 		t.Fatal(err)
 	}
-	// minF = 9: extension would release (10 ≤ 10) but total order must
-	// hold until no global-≤-10 event can arrive (minF ≥ 11).
-	if err := r.accept(b, 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 9}); err != nil {
+	if _, err := sys.DefineAt("s2", "L2", "L1 ; C", detector.Chronicle); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != 0 {
-		t.Fatalf("total-order released %d at minF=9, want 0", n)
-	}
-	// Every frontier — including the event's own source — must pass
-	// global 11 before a global-10 event is totally ordered.
-	if err := r.accept(b, 2, wire.Envelope{Kind: wire.KindHeartbeat, Global: 11}); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != 0 {
-		t.Fatalf("released %d while source a's frontier lags, want 0", n)
-	}
-	if err := r.accept(a, 2, wire.Envelope{Kind: wire.KindHeartbeat, Global: 11}); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != 1 {
-		t.Fatalf("total-order released %d at minF=11, want 1", n)
+	sys.seal()
+	s1 := sys.roster.MustSite("s1")
+	for _, s := range sys.sites {
+		if s.re.self != core.NoSite {
+			continue // hears nobody but itself
+		}
+		for i, src := range s.re.sources {
+			want := core.Site(i)
+			if s.ID == "s2" && want == s1 {
+				want = forwarderSite
+			}
+			if src.rank != want {
+				t.Errorf("%s's reorderer ranks source %d at %d, want %d", s.ID, i, src.rank, want)
+			}
+		}
 	}
 }
 
