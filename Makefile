@@ -1,7 +1,7 @@
 # Tier-1 verification for this repo.  `make ci` is what a reviewer (or a
-# CI job) runs: vet, lint, build, the full test suite under the race
-# detector — internal/live, the registry and the clock are used from more
-# than one goroutine, and the occurrence pool's single-owner rule is only
+# CI job) runs: vet, lint (one analyzer), build, the full test suite
+# under the race detector — internal/live, the registry and the clock are
+# used from more than one goroutine, and the occurrence pool's single-owner rule is only
 # checkable there — the pipeline determinism regressions by name so a
 # renamed or skipped test fails loudly, the exact allocation gates (which
 # need a build without the race detector), and two end-to-end smoke
@@ -18,11 +18,9 @@ ci: vet lint build race determinism obs-determinism allocs scale-smoke guard-smo
 vet:
 	$(GO) vet ./...
 
-# The repo's own analyzer suite — analyzers.All() in
-# internal/analysis/analyzers, each rule in DESIGN.md §2c — driven
-# through the go vet unit-checker protocol so test variants are covered
-# too and per-package facts flow bottom-up for the interprocedural
-# checks.
+# The repo's one lint rule, sitemap (DESIGN.md §2c names the fault only
+# it catches), and the stale-//lint:allow audit, driven through the go
+# vet unit-checker protocol so test variants are covered too.
 lint:
 	$(GO) build -o $(LINT) ./cmd/sentinel-lint
 	$(GO) vet -vettool=$(LINT) ./...

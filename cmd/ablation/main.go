@@ -68,8 +68,6 @@ func report(w io.Writer, samples int, seed int64) {
 }
 
 // timeIt returns approximate ns/op for fn.
-//
-//lint:allow walltime — wall-clock micro-benchmark instrumentation; the measured durations are printed, never fed into simulated time
 func timeIt(fn func(i int)) float64 {
 	const iters = 200_000
 	start := time.Now()

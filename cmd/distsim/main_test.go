@@ -1,11 +1,28 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain runs distsim's own main, with the arguments in DISTSIM_ARGS,
+// when DISTSIM_AS_MAIN is set: TestMainWritesOnlyTheReport starts the
+// test binary that way as a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("DISTSIM_AS_MAIN") == "1" {
+		os.Args = append(os.Args[:1], strings.Fields(os.Getenv("DISTSIM_ARGS"))...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 func runSim(t *testing.T, o options) string {
 	t.Helper()
@@ -179,6 +196,33 @@ func TestSimulateObservabilityIsPureObserver(t *testing.T) {
 		if !strings.Contains(spans.String(), kind) {
 			t.Errorf("-spanlog lacks %s events", kind)
 		}
+	}
+}
+
+// TestMainWritesOnlyTheReport runs the real entry point in a child
+// process, with loss, tracing into a span log, the flight recorder and a
+// metrics export on, and checks what reaches the process's file
+// descriptors: stdout carries the report and nothing else, byte for byte
+// what simulate writes in process, and stderr stays empty.  A print, a
+// log line or a builtin println anywhere on the path — a stage, a node,
+// the bus, the tracer — fails it.
+func TestMainWritesOnlyTheReport(t *testing.T) {
+	spans := filepath.Join(t.TempDir(), "spans.log")
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "DISTSIM_AS_MAIN=1",
+		"DISTSIM_ARGS=-sites 3 -events 300 -drop 0.05 -metrics prom -flightrec 8 -spanlog "+spans)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("distsim: %v\n%s", err, stderr.String())
+	}
+	if stderr.Len() != 0 {
+		t.Fatalf("distsim wrote to stderr:\n%s", stderr.String())
+	}
+	o := baseOptions()
+	o.drop, o.metrics, o.flightrec, o.spanlog = 0.05, "prom", 8, io.Discard
+	if want := runSim(t, o); stdout.String() != want {
+		t.Fatalf("distsim's stdout is not the report:\n%s\n--- want ---\n%s", stdout.String(), want)
 	}
 }
 

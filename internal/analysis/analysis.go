@@ -1,28 +1,16 @@
 // Package analysis is a minimal, dependency-free static-analysis
 // framework in the shape of golang.org/x/tools/go/analysis, built on the
 // standard library's go/ast and go/types only (the build environment
-// carries no external modules).  It exists so the repo can machine-check
-// the invariants its correctness argument rests on — the paper's
-// timestamp-relation discipline (Defs. 4.6–4.10, 5.3) and the staged
-// pipeline's determinism rules (see internal/ddetect/stages.go) — at vet
-// time, in every build, instead of hoping a regression test's workload
-// happens to exercise them.
+// carries no external modules).  It carries the one invariant of the
+// repo that no test, golden digest, allocation gate or benchmark bound
+// witnesses: sitemap (DESIGN.md §2c names the fault it alone catches).
 //
 // An Analyzer inspects one type-checked package and reports Diagnostics.
-// Since the interprocedural upgrade it may also exchange Facts —
-// per-function summaries (see the facts package) computed bottom-up in
-// dependency order — so an invariant follows the call graph across
-// package boundaries instead of stopping at the package that declares
-// it.  Three drivers feed analyzers:
+// Two drivers feed analyzers:
 //
 //   - vetmode implements the `go vet -vettool` unit-checker protocol, so
-//     `make lint` runs the suite over every package including test
-//     variants, with dependency types coming from compiler export data
-//     and dependency facts from the per-package vetx files cmd/go
-//     shuttles between invocations;
-//   - load + the standalone mode of cmd/sentinel-lint type-check module
-//     packages directly, walking them in dependency order with one
-//     in-process fact Set;
+//     `make lint` runs the suite over every package, with dependency
+//     types coming from compiler export data;
 //   - analysistest runs an analyzer over an uncompiled fixture directory
 //     and matches diagnostics against `// want "regexp"` comments.
 //
@@ -31,13 +19,10 @@
 //	//lint:allow <name>[,<name>...] — <reason>
 //
 // either on (or immediately above) the offending line, or in the doc
-// comment of a function declaration, which exempts the whole function
-// (facts included: an allowed function does not export the suppressed
-// invariant to its callers — the allow is a reviewed sanction, not a
-// blind spot).  The reason text is mandatory by convention.  Allows are
-// themselves audited: a directive that suppresses nothing is reported
-// stale by the drivers (see StaleAllows), so the exception list cannot
-// rot.
+// comment of a function declaration, which exempts the whole function.
+// The reason text is mandatory by convention.  Allows are themselves
+// audited: a directive that suppresses nothing is reported stale by the
+// vet driver (see StaleAllows), so the exception list cannot rot.
 package analysis
 
 import (
@@ -47,8 +32,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/analysis/facts"
 )
 
 // Diagnostic is one finding, anchored to a source position.
@@ -62,26 +45,15 @@ type Analyzer struct {
 	// Name is the analyzer's identifier, used in diagnostics and in
 	// //lint:allow directives.
 	Name string
-	// Doc is a one-paragraph description of the invariant enforced and
-	// the paper definition or architecture rule it encodes.
+	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
 	// AppliesTo reports whether the analyzer reports diagnostics for the
-	// package with the given import path.  Drivers consult it; test
-	// harnesses that call Run directly bypass it (fixtures live under
-	// synthetic paths).
+	// package with the given import path.  The vet driver consults it;
+	// analysistest calls Run directly and bypasses it (fixtures live
+	// under synthetic paths).
 	AppliesTo func(pkgPath string) bool
-	// FactsFor, when non-nil, reports whether the analyzer computes
-	// facts for the package with the given import path.  Drivers call
-	// Facts (or Run, which must subsume it) for every such package —
-	// including ones AppliesTo rejects — so summaries exist for the
-	// packages that merely feed the checked ones.
-	FactsFor func(pkgPath string) bool
-	// Run inspects one package, reports findings through the pass, and
-	// exports the analyzer's facts for it (when the analyzer has any).
+	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass) error
-	// Facts computes and exports facts only, for packages where the
-	// analyzer checks nothing.  Nil for purely intraprocedural analyzers.
-	Facts func(*Pass) error
 }
 
 // Pass carries one type-checked package through an analyzer.
@@ -91,9 +63,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Facts is the cross-package fact store; never nil (drivers without
-	// an interprocedural walk get a fresh empty set per package).
-	Facts *facts.Set
 	// Allows indexes the package's //lint:allow directives; never nil.
 	// Shared across the analyzers of one package so used-tracking for the
 	// stale-allow audit aggregates over the whole suite.
@@ -120,16 +89,13 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// NewPass assembles a pass with the given shared state.  A nil set or
-// allows gets a fresh instance, so analyzers never see nil.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, set *facts.Set, allows *Allows) *Pass {
-	if set == nil {
-		set = facts.NewSet()
-	}
+// NewPass assembles a pass sharing the package's allow index; a nil
+// allows gets a fresh one, so analyzers never see nil.
+func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, allows *Allows) *Pass {
 	if allows == nil {
 		allows = CollectAllows(fset, files)
 	}
-	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, Facts: set, Allows: allows}
+	return &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, Allows: allows}
 }
 
 // RunPass executes the pass's analyzer and returns its findings with
@@ -150,41 +116,27 @@ func RunPass(pass *Pass) ([]Diagnostic, error) {
 	return kept, nil
 }
 
-// Run executes one analyzer over one package with fresh fact and allow
-// state — the single-package entry point used by fixtures and ad-hoc
-// callers.  Interprocedural drivers build passes with NewPass and a
-// shared Set instead.
+// Run executes one analyzer over one package with a fresh allow index —
+// the single-package entry point used by fixtures.
 func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	return RunPass(NewPass(a, fset, files, pkg, info, nil, nil))
+	return RunPass(NewPass(a, fset, files, pkg, info, nil))
 }
 
 // Allow is one parsed //lint:allow directive.
 type Allow struct {
 	Pos   token.Pos
-	File  string
-	Line  int
 	Names []string
-	// Reason is the text after the dash separator; empty when the author
-	// omitted it (itself worth flagging in the audit).
-	Reason string
 	// FuncLevel marks a directive in a function's doc comment, which
-	// exempts the whole body.
+	// exempts the whole body (lo to hi).
 	FuncLevel bool
-	// Func is the exempted function's name for FuncLevel directives.
-	Func string
 	// TestFile marks a directive in a _test.go file.  Analyzers skip
 	// test files, so such a directive can never fire and is excluded
 	// from the stale audit rather than reported.
 	TestFile bool
 
-	used bool
-	lo   token.Pos // FuncLevel span
-	hi   token.Pos
+	used   bool
+	lo, hi token.Pos
 }
-
-// Used reports whether the directive suppressed at least one diagnostic
-// or fact during the runs sharing this Allows.
-func (a *Allow) Used() bool { return a.used }
 
 // Allows indexes a package's //lint:allow directives and tracks which of
 // them actually suppressed something.
@@ -212,16 +164,13 @@ func CollectAllows(fset *token.FileSet, files []*ast.File) *Allows {
 				continue
 			}
 			for _, c := range fd.Doc.List {
-				names, reason := parseAllow(c.Text)
+				names := parseAllow(c.Text)
 				if len(names) == 0 {
 					continue
 				}
 				funcDoc[c] = true
-				pos := fset.Position(c.Pos())
 				s.list = append(s.list, &Allow{
-					Pos: c.Pos(), File: pos.Filename, Line: pos.Line,
-					Names: names, Reason: reason,
-					FuncLevel: true, Func: fd.Name.Name, TestFile: testFile,
+					Pos: c.Pos(), Names: names, FuncLevel: true, TestFile: testFile,
 					lo: fd.Pos(), hi: fd.End(),
 				})
 			}
@@ -231,16 +180,13 @@ func CollectAllows(fset *token.FileSet, files []*ast.File) *Allows {
 				if funcDoc[c] {
 					continue
 				}
-				names, reason := parseAllow(c.Text)
+				names := parseAllow(c.Text)
 				if len(names) == 0 {
 					continue
 				}
-				pos := fset.Position(c.Pos())
-				a := &Allow{
-					Pos: c.Pos(), File: pos.Filename, Line: pos.Line,
-					Names: names, Reason: reason, TestFile: testFile,
-				}
+				a := &Allow{Pos: c.Pos(), Names: names, TestFile: testFile}
 				s.list = append(s.list, a)
+				pos := fset.Position(c.Pos())
 				k := lineKey{file: pos.Filename, line: pos.Line}
 				s.lines[k] = append(s.lines[k], a)
 			}
@@ -250,34 +196,28 @@ func CollectAllows(fset *token.FileSet, files []*ast.File) *Allows {
 	return s
 }
 
-// parseAllow extracts analyzer names and the reason from a //lint:allow
-// comment.  Accepted forms: "//lint:allow a", "//lint:allow a,b — reason",
+// parseAllow extracts the analyzer names from a //lint:allow comment.
+// Accepted forms: "//lint:allow a", "//lint:allow a,b — reason",
 // "// lint:allow a -- reason".
-func parseAllow(text string) (names []string, reason string) {
+func parseAllow(text string) []string {
 	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
 	if !strings.HasPrefix(body, "lint:allow") {
-		return nil, ""
+		return nil
 	}
 	rest := strings.TrimSpace(strings.TrimPrefix(body, "lint:allow"))
 	for _, sep := range []string{"--", "—", "–"} {
 		if i := strings.Index(rest, sep); i >= 0 {
-			reason = strings.TrimSpace(rest[i+len(sep):])
 			rest = rest[:i]
 			break
 		}
 	}
-	for _, field := range strings.FieldsFunc(rest, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
-		if field != "" {
-			names = append(names, field)
-		}
-	}
-	return names, reason
+	return strings.FieldsFunc(rest, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' })
 }
 
-// Allowed reports whether a diagnostic (or fact) of the named analyzer
-// at pos is suppressed — a line directive on the same or the immediately
-// preceding line, or a function-level directive spanning pos — and marks
-// the suppressing directive used.
+// Allowed reports whether a diagnostic of the named analyzer at pos is
+// suppressed — a line directive on the same or the immediately preceding
+// line, or a function-level directive spanning pos — and marks the
+// suppressing directive used.
 func (s *Allows) Allowed(name string, fset *token.FileSet, pos token.Pos) bool {
 	p := fset.Position(pos)
 	for _, line := range []int{p.Line, p.Line - 1} {
@@ -297,20 +237,6 @@ func (s *Allows) Allowed(name string, fset *token.FileSet, pos token.Pos) bool {
 	return false
 }
 
-// AllowedFunc reports whether the named analyzer is suppressed for the
-// whole function declared at fd — a function-level directive naming it —
-// marking the directive used.  Analyzers consult this before computing
-// facts, so a sanctioned function exports nothing.
-func (s *Allows) AllowedFunc(name string, fd *ast.FuncDecl) bool {
-	for _, a := range s.list {
-		if a.FuncLevel && hasName(a.Names, name) && a.lo == fd.Pos() {
-			a.used = true
-			return true
-		}
-	}
-	return false
-}
-
 func hasName(names []string, name string) bool {
 	for _, n := range names {
 		if n == name {
@@ -319,9 +245,6 @@ func hasName(names []string, name string) bool {
 	}
 	return false
 }
-
-// All returns every directive in position order, for the audit table.
-func (s *Allows) All() []*Allow { return s.list }
 
 // StaleAllows reports, after every analyzer of a suite has run against
 // this Allows, the directives that suppressed nothing: either they name

@@ -7,21 +7,29 @@
 // A `// want` comment expects exactly one diagnostic on its line whose
 // message matches the quoted regular expression (Go-quoted: backquotes
 // or double quotes).  Every diagnostic must be wanted and every want
-// must be matched.  Fixtures are loaded through load.LoadDir, so they
-// are fully type-checked — against real module packages when they
-// import them — and diagnostics pass through analysis.Run, so the
-// //lint:allow filtering is exercised exactly as in production.
+// must be matched.  Fixtures are fully type-checked — against real module
+// packages when they import them, through the compiler export data `go
+// list -export` reports, as the vet driver does — and diagnostics pass
+// through analysis.Run, so the //lint:allow filtering is exercised
+// exactly as in production.
 package analysistest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/load"
+	"repro/internal/analysis/vetmode"
 )
 
 // expectation is one `// want` comment.
@@ -36,37 +44,42 @@ type expectation struct {
 // produced diagnostics and `// want` expectations as test errors.
 func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
-	modRoot, err := load.ModuleRoot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := load.LoadDir(modRoot, dir)
+	fset := token.NewFileSet()
+	files, err := parseDir(fset, dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
+	cfg, err := exportConfig(dir, files)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", dir, err)
+	}
+	pkg, info, err := vetmode.Check(fset, cfg, files)
+	if err != nil {
+		t.Fatalf("type-checking fixture %s: %v", dir, err)
+	}
 	var wants []*expectation
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				w, err := parseWant(c.Text)
 				if err != nil {
-					t.Fatalf("%s: %v", pkg.Fset.Position(c.Pos()), err)
+					t.Fatalf("%s: %v", fset.Position(c.Pos()), err)
 				}
 				if w == nil {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				w.file, w.line = pos.Filename, pos.Line
 				wants = append(wants, w)
 			}
 		}
 	}
-	diags, err := analysis.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
+	diags, err := analysis.Run(a, fset, files, pkg, info)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", a.Name, dir, err)
 	}
 	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+		pos := fset.Position(d.Pos)
 		if w := match(wants, pos.Filename, pos.Line, d.Message); w != nil {
 			w.hit = true
 			continue
@@ -81,9 +94,9 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 }
 
 // parseWant extracts the expectation from a `// want "re"` comment, nil
-// if the comment is not a want.  The want may trail another line comment
-// (`//sentinel:hotpath // want "re"`), so a directive that is itself the
-// finding can carry its expectation on its own line.
+// if the comment is not a want.  The want may trail another line comment,
+// so a directive that is itself the finding can carry its expectation on
+// its own line.
 func parseWant(text string) (*expectation, error) {
 	i := strings.Index(text, "// want ")
 	if i < 0 {
@@ -110,4 +123,65 @@ func match(wants []*expectation, file string, line int, msg string) *expectation
 		}
 	}
 	return nil
+}
+
+// parseDir parses every Go file of a fixture directory, in name order.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// exportConfig resolves the fixture's imports the way cmd/go does for the
+// vet driver: `go list -export -deps`, run inside the module, names the
+// compiler export data of every package the imports reach.
+func exportConfig(dir string, files []*ast.File) (*vetmode.Config, error) {
+	cfg := &vetmode.Config{
+		Compiler:    "gc",
+		ImportPath:  "fixture/" + filepath.Base(dir),
+		ImportMap:   map[string]string{"unsafe": "unsafe"},
+		PackageFile: map[string]string{},
+	}
+	var imports []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			if _, seen := cfg.ImportMap[path]; !seen {
+				cfg.ImportMap[path] = path
+				imports = append(imports, path)
+			}
+		}
+	}
+	if len(imports) == 0 {
+		return cfg, nil
+	}
+	cmd := exec.Command("go", append([]string{"list", "-export", "-json", "-deps"}, imports...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(imports, " "), err, stderr.String())
+	}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p struct{ ImportPath, Export string }
+		if err := dec.Decode(&p); err != nil {
+			return nil, err
+		}
+		cfg.PackageFile[p.ImportPath] = p.Export
+	}
+	return cfg, nil
 }

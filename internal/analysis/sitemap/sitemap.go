@@ -6,10 +6,17 @@
 // detector address per-site state with roster-indexed slices — O(1)
 // access with no string hashing, and iteration over 0..Len()-1 is
 // automatically in canonical site-ID order.  A `map[core.SiteID]`
-// re-introduces both costs and, worse, invites randomized-order
-// iteration on paths whose output must be bit-for-bit deterministic
-// (mapiter catches the range; this analyzer catches the data structure
-// that makes the range tempting).
+// re-introduces a string hash per lookup and a map's memory per holder,
+// and invites randomized-order iteration on paths whose output must be
+// bit-for-bit deterministic (the determinism goldens catch such a range
+// once it changes an output; nothing else catches the map).
+//
+// This is the only invariant of the tree no other witness holds: a
+// reorderer that finds its source slot through a map[core.SiteID]int —
+// the shape the dense roster replaced — passes every test, golden digest
+// and allocation gate, moves no time metric of the system benchmark beyond
+// its run-to-run spread, and shows only as a deterministic +0.002 MB of
+// retained heap on tenants1k, far inside the benchmark's 5 % bound.
 //
 // The analyzer flags every map type whose key is core.SiteID — in
 // declarations, struct fields, parameters, composite literals and

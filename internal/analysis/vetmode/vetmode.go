@@ -12,21 +12,13 @@
 // the standard file:line:col format.  Exit codes follow vet convention:
 // 0 clean, 1 operational error, 2 diagnostics reported.
 //
-// Dependencies are visited by go vet in "vetx only" mode — facts
-// precomputation.  Since the interprocedural upgrade the suite really
-// uses it: for module packages the tool type-checks the sources and runs
-// each analyzer's Facts pass, serializing the resulting per-function
-// summaries (see the facts package) to Config.VetxOutput.  cmd/go then
-// hands that file to every direct importer through Config.PackageVetx.
-// Because only *direct* imports' vetx files arrive, each export re-emits
-// the imported facts it consumed, so the transitive closure flows one
-// hop at a time.  Packages outside the module (the stdlib) export an
-// empty facts file and return immediately, which keeps
-// `go vet -vettool=sentinel-lint ./...` cheap despite visiting the
-// transitive closure.
+// Dependencies are visited in "vetx only" mode, which asks for facts to
+// hand to the importers.  The suite exchanges none, so those passes — and
+// every package no analyzer reports on and no audit covers — write the
+// empty facts file cmd/go expects and return at once.
 //
-// After the suite runs on a reporting package, the shared //lint:allow
-// index is audited: directives that suppressed nothing are themselves
+// On an audited package the //lint:allow index is checked after the
+// suite runs: directives that suppressed nothing are themselves
 // diagnostics (see analysis.StaleAllows), so the exception list cannot
 // rot.
 package vetmode
@@ -42,87 +34,54 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
+	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/facts"
 )
 
-// Config is the JSON schema `go vet` hands the tool; field names are
-// fixed by cmd/go (see cmd/go/internal/work/exec.go, vetConfig).
+// Config is the subset of the JSON schema `go vet` hands the tool that
+// the driver reads; field names are fixed by cmd/go (see
+// cmd/go/internal/work/exec.go, vetConfig).
 type Config struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
 // Run executes the suite for one vet config file and returns the process
-// exit code, printing findings to stderr.
-func Run(cfgFile string, suite []*analysis.Analyzer) int {
-	return RunTo(os.Stderr, cfgFile, suite)
-}
-
-// RunTo is Run with the diagnostic stream injectable, for tests.
-func RunTo(w io.Writer, cfgFile string, suite []*analysis.Analyzer) int {
+// exit code, printing findings to stderr.  audited reports whether a
+// package's //lint:allow directives are checked for staleness.
+func Run(cfgFile string, suite []*analysis.Analyzer, audited func(pkgPath string) bool) int {
 	cfg, err := readConfig(cfgFile)
 	if err != nil {
-		fmt.Fprintln(w, err)
+		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	return runConfig(w, cfg, suite)
+	return runConfig(os.Stderr, cfg, suite, audited)
 }
 
-func runConfig(w io.Writer, cfg *Config, suite []*analysis.Analyzer) int {
-	// Which analyzers report here, and which compute facts here?
-	var reporting, computing []*analysis.Analyzer
+func runConfig(w io.Writer, cfg *Config, suite []*analysis.Analyzer, audited func(string) bool) int {
+	// cmd/go decorates test variants as "p [p.test]"; analyzer domains
+	// and the audit see the plain path.
+	path := cfg.ImportPath
+	if i := strings.Index(path, " ["); i >= 0 {
+		path = path[:i]
+	}
+	var reporting []*analysis.Analyzer
 	for _, a := range suite {
-		if a.AppliesTo == nil || a.AppliesTo(cfg.ImportPath) {
+		if a.AppliesTo == nil || a.AppliesTo(path) {
 			reporting = append(reporting, a)
 		}
-		if a.Facts != nil && a.FactsFor != nil && a.FactsFor(cfg.ImportPath) {
-			computing = append(computing, a)
-		}
 	}
-
-	// Nothing to do for this package (stdlib, or a module package every
-	// analyzer ignores): write the empty facts file go vet's cache needs
-	// and return.
-	if (cfg.VetxOnly && len(computing) == 0) || (len(reporting) == 0 && len(computing) == 0) {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintln(w, err)
-				return 1
-			}
-		}
-		return 0
-	}
-
-	// Dependency facts: cmd/go hands us the vetx file of every direct
-	// import; each of those re-exports its own imports' facts, closing
-	// the transitive chain.
-	set := facts.NewSet()
-	for _, vetx := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetx)
-		if err != nil {
-			fmt.Fprintln(w, err)
-			return 1
-		}
-		if err := set.ImportData(data); err != nil {
-			fmt.Fprintf(w, "%s: %s: %v\n", cfg.ImportPath, vetx, err)
-			return 1
-		}
+	audit := audited != nil && audited(path)
+	if cfg.VetxOnly || (len(reporting) == 0 && !audit) {
+		return writeVetx(w, cfg)
 	}
 
 	fset := token.NewFileSet()
@@ -130,15 +89,60 @@ func runConfig(w io.Writer, cfg *Config, suite []*analysis.Analyzer) int {
 	for _, name := range cfg.GoFiles {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
-			if cfg.VetxOnly || cfg.SucceedOnTypecheckFailure {
-				return writeVetx(w, cfg, nil)
+			if cfg.SucceedOnTypecheckFailure {
+				return writeVetx(w, cfg)
 			}
 			fmt.Fprintln(w, err)
 			return 1
 		}
 		files = append(files, f)
 	}
+	// One allow index per package, shared across the suite so the
+	// stale-allow audit sees every analyzer's suppressions.
+	allows := analysis.CollectAllows(fset, files)
 
+	exit := 0
+	if len(reporting) > 0 {
+		pkg, info, err := Check(fset, cfg, files)
+		if err != nil {
+			if cfg.SucceedOnTypecheckFailure {
+				return writeVetx(w, cfg)
+			}
+			fmt.Fprintf(w, "%s: type-check: %v\n", cfg.ImportPath, err)
+			return 1
+		}
+		for _, a := range reporting {
+			diags, err := analysis.RunPass(analysis.NewPass(a, fset, files, pkg, info, allows))
+			if err != nil {
+				fmt.Fprintf(w, "%s: %s: %v\n", cfg.ImportPath, a.Name, err)
+				exit = 1
+				continue
+			}
+			for _, d := range diags {
+				fmt.Fprintf(w, "%s: %s\n", fset.Position(d.Pos), d.Message)
+				exit = 2
+			}
+		}
+	}
+	if audit {
+		known := make(map[string]bool, len(suite))
+		for _, a := range suite {
+			known[a.Name] = true
+		}
+		for _, d := range allows.StaleAllows(known) {
+			fmt.Fprintf(w, "%s: %s\n", fset.Position(d.Pos), d.Message)
+			exit = 2
+		}
+	}
+	if code := writeVetx(w, cfg); code != 0 {
+		return code
+	}
+	return exit
+}
+
+// Check type-checks the parsed files against the dependencies' export
+// data named in cfg.
+func Check(fset *token.FileSet, cfg *Config, files []*ast.File) (*types.Package, *types.Info, error) {
 	compilerImp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
 		file, ok := cfg.PackageFile[path]
 		if !ok {
@@ -156,7 +160,6 @@ func runConfig(w io.Writer, cfg *Config, suite []*analysis.Analyzer) int {
 		}
 		return compilerImp.Import(path)
 	})
-
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -172,97 +175,16 @@ func runConfig(w io.Writer, cfg *Config, suite []*analysis.Analyzer) int {
 		GoVersion: cfg.GoVersion,
 	}
 	pkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		// In facts mode a failed type-check only costs precision for the
-		// dependents; exporting nothing keeps the walk alive, matching
-		// SucceedOnTypecheckFailure for reporting packages.
-		if cfg.VetxOnly || cfg.SucceedOnTypecheckFailure {
-			return writeVetx(w, cfg, nil)
-		}
-		fmt.Fprintf(w, "%s: type-check: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	// One allow index per package, shared across the suite so the
-	// stale-allow audit sees every analyzer's suppressions.
-	allows := analysis.CollectAllows(fset, files)
-
-	exit := 0
-	if cfg.VetxOnly {
-		for _, a := range computing {
-			pass := analysis.NewPass(a, fset, files, pkg, info, set, allows)
-			if err := a.Facts(pass); err != nil {
-				fmt.Fprintf(w, "%s: %s: %v\n", cfg.ImportPath, a.Name, err)
-				exit = 1
-			}
-		}
-		if code := writeVetx(w, cfg, set); code != 0 {
-			return code
-		}
-		return exit
-	}
-
-	ran := make(map[*analysis.Analyzer]bool, len(reporting))
-	for _, a := range reporting {
-		ran[a] = true
-		pass := analysis.NewPass(a, fset, files, pkg, info, set, allows)
-		diags, err := analysis.RunPass(pass)
-		if err != nil {
-			fmt.Fprintf(w, "%s: %s: %v\n", cfg.ImportPath, a.Name, err)
-			exit = 1
-			continue
-		}
-		for _, d := range diags {
-			fmt.Fprintf(w, "%s: %s\n", fset.Position(d.Pos), d.Message)
-			exit = 2
-		}
-	}
-	// Facts for the dependents of this package, from analyzers that did
-	// not already export them while reporting (Run subsumes Facts).
-	for _, a := range computing {
-		if ran[a] {
-			continue
-		}
-		pass := analysis.NewPass(a, fset, files, pkg, info, set, allows)
-		if err := a.Facts(pass); err != nil {
-			fmt.Fprintf(w, "%s: %s: %v\n", cfg.ImportPath, a.Name, err)
-			exit = 1
-		}
-	}
-	// The allow audit runs only where the full suite reported; on a
-	// facts-only package a directive naming a reporting-domain analyzer
-	// would be falsely stale.
-	if len(reporting) > 0 {
-		known := make(map[string]bool, len(suite))
-		for _, a := range suite {
-			known[a.Name] = true
-		}
-		for _, d := range allows.StaleAllows(known) {
-			fmt.Fprintf(w, "%s: %s\n", fset.Position(d.Pos), d.Message)
-			exit = 2
-		}
-	}
-	if code := writeVetx(w, cfg, set); code != 0 {
-		return code
-	}
-	return exit
+	return pkg, info, err
 }
 
-// writeVetx serializes the fact set (nil → empty file) to the config's
-// VetxOutput, if any.
-func writeVetx(w io.Writer, cfg *Config, set *facts.Set) int {
+// writeVetx writes the empty facts file cmd/go caches for the package's
+// importers, if the config asks for one.
+func writeVetx(w io.Writer, cfg *Config) int {
 	if cfg.VetxOutput == "" {
 		return 0
 	}
-	var data []byte
-	if set != nil {
-		var err error
-		if data, err = set.ExportData(); err != nil {
-			fmt.Fprintln(w, err)
-			return 1
-		}
-	}
-	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
+	if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 		fmt.Fprintln(w, err)
 		return 1
 	}
@@ -284,20 +206,3 @@ func readConfig(name string) (*Config, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// PrintFlags implements the `-flags` query cmd/go sends before parsing
-// the vet command line: a JSON list of flags the tool supports.  The
-// suite is not configurable per-flag, so the list is empty.
-func PrintFlags(w io.Writer) {
-	fmt.Fprintln(w, "[]")
-}
-
-// SortedNames returns the suite's analyzer names, for usage text.
-func SortedNames(suite []*analysis.Analyzer) []string {
-	names := make([]string, len(suite))
-	for i, a := range suite {
-		names[i] = a.Name
-	}
-	sort.Strings(names)
-	return names
-}

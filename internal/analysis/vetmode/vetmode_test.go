@@ -10,201 +10,56 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/facts"
-	"repro/internal/analysis/mapiter"
+	"repro/internal/analysis/sitemap"
 )
 
-// listPkg is the subset of `go list -json` output the tests need to
-// assemble vet configs the way cmd/go does.
-type listPkg struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Imports    []string
-	Export     string
-}
+var suite = []*analysis.Analyzer{sitemap.Analyzer}
 
-// scratchModule builds a throwaway module named "repro" (so the suite's
-// reporting domains apply to it) with a facts-only package whose helper
-// iterates a map, and a detect-path package that calls the helper.  It
-// returns the per-package metadata with compiled export data.
-func scratchModule(t *testing.T) map[string]*listPkg {
-	t.Helper()
-	dir := t.TempDir()
-	write := func(name, src string) {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
+// TestVetTestVariantNormalized hands the driver a test variant the way
+// cmd/go names it, "p [p.test]": the analyzer's domain must see the plain
+// path and report, with the dependency's types read from the compiler
+// export data `go list -export` names.
+func TestVetTestVariantNormalized(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "holder.go")
+	if err := os.WriteFile(src, []byte("package ddetect\n\nimport \"repro/internal/core\"\n\nvar frontiers map[core.SiteID]int64\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	write("go.mod", "module repro\n\ngo 1.24.0\n")
-	write("internal/core/helper.go", `package core
-
-// Sum drains a counter map; iteration order is observable through
-// nothing here, but the fact must still flow to callers.
-func Sum(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
-	}
-	return n
-}
-`)
-	write("internal/detector/top.go", `package detector
-
-import "repro/internal/core"
-
-// Tally inherits core.Sum's map iteration through the call graph.
-func Tally(m map[string]int) int { return core.Sum(m) }
-`)
-
-	cmd := exec.Command("go", "list", "-export", "-json", "-deps", "./...")
-	cmd.Dir = dir
-	out, err := cmd.Output()
+	out, err := exec.Command("go", "list", "-export", "-json", "-deps", "repro/internal/core").Output()
 	if err != nil {
 		t.Fatalf("go list -export: %v", err)
 	}
-	pkgs := make(map[string]*listPkg)
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for dec.More() {
-		p := new(listPkg)
-		if err := dec.Decode(p); err != nil {
+	cfg := &Config{
+		Compiler:    "gc",
+		ImportPath:  "repro/internal/ddetect [repro/internal/ddetect.test]",
+		GoVersion:   "go1.24.0",
+		GoFiles:     []string{src},
+		ImportMap:   map[string]string{"repro/internal/core": "repro/internal/core"},
+		PackageFile: map[string]string{},
+	}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p struct{ ImportPath, Export string }
+		if err := dec.Decode(&p); err != nil {
 			t.Fatal(err)
 		}
-		pkgs[p.ImportPath] = p
+		cfg.PackageFile[p.ImportPath] = p.Export
 	}
-	for _, path := range []string{"repro/internal/core", "repro/internal/detector"} {
-		if pkgs[path] == nil || pkgs[path].Export == "" {
-			t.Fatalf("go list gave no export data for %s", path)
-		}
+	var diags bytes.Buffer
+	if code := runConfig(&diags, cfg, suite, nil); code != 2 {
+		t.Fatalf("test-variant pass exited %d, want 2:\n%s", code, diags.String())
 	}
-	return pkgs
-}
-
-// configFor mimics the vet config cmd/go writes for one package: source
-// files, identity import map, and export data for every dependency.
-func configFor(t *testing.T, pkgs map[string]*listPkg, path, vetxOut string) *Config {
-	t.Helper()
-	p := pkgs[path]
-	cfg := &Config{
-		ID:          path,
-		Compiler:    "gc",
-		Dir:         p.Dir,
-		ImportPath:  path,
-		GoVersion:   "go1.24.0",
-		ImportMap:   map[string]string{},
-		PackageFile: map[string]string{},
-		PackageVetx: map[string]string{},
-		VetxOutput:  vetxOut,
-	}
-	for _, f := range p.GoFiles {
-		cfg.GoFiles = append(cfg.GoFiles, filepath.Join(p.Dir, f))
-	}
-	for _, imp := range p.Imports {
-		cfg.ImportMap[imp] = imp
-	}
-	for ip, dep := range pkgs {
-		if ip != path && dep.Export != "" {
-			cfg.PackageFile[ip] = dep.Export
-		}
-	}
-	return cfg
-}
-
-func TestVetxFactsRoundTrip(t *testing.T) {
-	pkgs := scratchModule(t)
-	tmp := t.TempDir()
-	suite := []*analysis.Analyzer{mapiter.Analyzer}
-
-	// Dependency pass, as cmd/go runs it: VetxOnly on the facts-only
-	// package, output serialized to its vetx file.
-	coreVetx := filepath.Join(tmp, "core.vetx")
-	coreCfg := configFor(t, pkgs, "repro/internal/core", coreVetx)
-	coreCfg.VetxOnly = true
-	var out bytes.Buffer
-	if code := runConfig(&out, coreCfg, suite); code != 0 {
-		t.Fatalf("core facts pass exited %d: %s", code, out.String())
-	}
-	data, err := os.ReadFile(coreVetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := facts.NewSet()
-	if err := set.ImportData(data); err != nil {
-		t.Fatal(err)
-	}
-	if dump := set.Dump(); !strings.Contains(dump, "repro/internal/core.Sum") || !strings.Contains(dump, "mapiter: range over map[string]int") {
-		t.Fatalf("core vetx lacks Sum's map-iteration fact:\n%s", dump)
-	}
-
-	// Reporting pass on the dependent: the helper's fact must arrive
-	// through PackageVetx and surface as a call-site diagnostic.
-	topVetx := filepath.Join(tmp, "top.vetx")
-	topCfg := configFor(t, pkgs, "repro/internal/detector", topVetx)
-	topCfg.PackageVetx["repro/internal/core"] = coreVetx
-	out.Reset()
-	if code := runConfig(&out, topCfg, suite); code != 2 {
-		t.Fatalf("reporting pass exited %d, want 2:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "mapiter: call to core.Sum transitively iterates a map") {
-		t.Fatalf("inherited diagnostic missing:\n%s", out.String())
-	}
-
-	// The dependent's own vetx re-exports the imported facts, so a
-	// second-hop consumer sees the transitive closure.
-	data, err = os.ReadFile(topVetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set2 := facts.NewSet()
-	if err := set2.ImportData(data); err != nil {
-		t.Fatal(err)
-	}
-	if dump := set2.Dump(); !strings.Contains(dump, "repro/internal/core.Sum") {
-		t.Fatalf("dependent vetx does not re-export imported facts:\n%s", dump)
-	}
-}
-
-func TestVetTestVariantNormalized(t *testing.T) {
-	pkgs := scratchModule(t)
-	tmp := t.TempDir()
-	suite := []*analysis.Analyzer{mapiter.Analyzer}
-
-	coreVetx := filepath.Join(tmp, "core.vetx")
-	coreCfg := configFor(t, pkgs, "repro/internal/core", coreVetx)
-	coreCfg.VetxOnly = true
-	var out bytes.Buffer
-	if code := runConfig(&out, coreCfg, suite); code != 0 {
-		t.Fatalf("core facts pass exited %d: %s", code, out.String())
-	}
-
-	// cmd/go decorates test variants as "p [p.test]"; the analyzer
-	// domains and fact lookups must see the plain path.
-	topCfg := configFor(t, pkgs, "repro/internal/detector", filepath.Join(tmp, "top.vetx"))
-	topCfg.ImportPath = "repro/internal/detector [repro/internal/detector.test]"
-	topCfg.ID = topCfg.ImportPath
-	topCfg.PackageVetx["repro/internal/core"] = coreVetx
-	out.Reset()
-	if code := runConfig(&out, topCfg, suite); code != 2 {
-		t.Fatalf("test-variant pass exited %d, want 2:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "mapiter: call to core.Sum") {
-		t.Fatalf("test-variant diagnostic missing:\n%s", out.String())
+	if !strings.Contains(diags.String(), "sitemap: map keyed by core.SiteID") {
+		t.Fatalf("test-variant diagnostic missing:\n%s", diags.String())
 	}
 }
 
 func TestVetxOnlySkipsNonComputingPackages(t *testing.T) {
-	// A stdlib-looking package no analyzer computes facts for must write
-	// an empty vetx and exit clean without parsing anything.
+	// A dependency pass must write an empty vetx and exit clean without
+	// parsing anything.
 	tmp := t.TempDir()
 	vetx := filepath.Join(tmp, "fmt.vetx")
 	cfg := &Config{ImportPath: "fmt", VetxOnly: true, VetxOutput: vetx}
 	var out bytes.Buffer
-	if code := runConfig(&out, cfg, []*analysis.Analyzer{mapiter.Analyzer}); code != 0 {
+	if code := runConfig(&out, cfg, suite, nil); code != 0 {
 		t.Fatalf("stdlib facts pass exited %d: %s", code, out.String())
 	}
 	data, err := os.ReadFile(vetx)
@@ -213,10 +68,6 @@ func TestVetxOnlySkipsNonComputingPackages(t *testing.T) {
 	}
 	if len(data) != 0 {
 		t.Fatalf("stdlib vetx should be empty, got %q", data)
-	}
-	set := facts.NewSet()
-	if err := set.ImportData(data); err != nil {
-		t.Fatalf("empty vetx must import cleanly: %v", err)
 	}
 }
 
@@ -228,9 +79,8 @@ func TestSucceedOnTypecheckFailure(t *testing.T) {
 	}
 	vetx := filepath.Join(tmp, "broken.vetx")
 	cfg := &Config{
-		ID:                        "repro/internal/broken",
 		Compiler:                  "gc",
-		ImportPath:                "repro/internal/broken",
+		ImportPath:                "repro/internal/ddetect",
 		GoVersion:                 "go1.24.0",
 		GoFiles:                   []string{src},
 		ImportMap:                 map[string]string{},
@@ -239,10 +89,45 @@ func TestSucceedOnTypecheckFailure(t *testing.T) {
 		SucceedOnTypecheckFailure: true,
 	}
 	var out bytes.Buffer
-	if code := runConfig(&out, cfg, []*analysis.Analyzer{mapiter.Analyzer}); code != 0 {
+	if code := runConfig(&out, cfg, suite, nil); code != 0 {
 		t.Fatalf("SucceedOnTypecheckFailure pass exited %d: %s", code, out.String())
 	}
 	if _, err := os.Stat(vetx); err != nil {
 		t.Fatalf("vetx not written on tolerated type-check failure: %v", err)
+	}
+}
+
+// TestStaleAllowAudit pins the //lint:allow audit: on an audited package
+// a directive naming an analyzer that does not exist, or one that
+// suppressed nothing, is a finding; on a package outside the audit it is
+// not read at all.
+func TestStaleAllowAudit(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "allows.go")
+	if err := os.WriteFile(src, []byte(`package allows
+
+var a = 1 //lint:allow walltime — names a deleted analyzer
+
+var b = 2 //lint:allow sitemap — suppresses nothing
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		want int
+	}{{"repro/internal/obs [repro/internal/obs.test]", 2}, {"repro/benchmark", 0}} {
+		cfg := &Config{Compiler: "gc", ImportPath: tc.path, GoVersion: "go1.24.0", GoFiles: []string{src}}
+		var out bytes.Buffer
+		audited := func(path string) bool { return path != "repro/benchmark" }
+		if code := runConfig(&out, cfg, suite, audited); code != tc.want {
+			t.Fatalf("%s: exit %d, want %d:\n%s", tc.path, code, tc.want, out.String())
+		}
+		if tc.want == 0 {
+			continue
+		}
+		for _, want := range []string{"unknown analyzer walltime", "allow sitemap suppresses no diagnostic"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%s: audit output lacks %q:\n%s", tc.path, want, out.String())
+			}
+		}
 	}
 }

@@ -36,8 +36,8 @@ import (
 //
 // All methods run on the crank goroutine (stages are single-threaded and
 // Raise is a between-ticks call), so the free lists need no locking.  The
-// flush methods are the only code in this package allowed to call the
-// Bus's send methods — enforced by the stagefx analyzer.
+// flush methods are the only code in this package that calls the Bus's
+// send methods.
 type linkCoalescer struct {
 	sys *System
 	// links is the dense link table, built at seal: row from holds one
@@ -182,8 +182,7 @@ func (lb *linkBatch) frontier() wire.Envelope {
 // flush hands every pending link batch to the bus, in deterministic
 // first-use link order, consuming exactly one delay/loss draw per link.
 // It runs single-threaded on the crank goroutine (end of the ingest and
-// publish Ticks); the stagefx analyzer recognizes linkCoalescer methods
-// as the designated Bus senders.
+// publish Ticks).
 func (c *linkCoalescer) flush(now clock.Microticks) {
 	if len(c.order) == 0 {
 		return

@@ -20,20 +20,21 @@
 //     event with global time < w.  Released events are published in
 //     ascending (global, site, local, arrival) key order, a linear
 //     extension of < for the primitive (singleton-stamp) occurrences
-//     exchanged between sites.  Under the default ReleaseTotalOrder the
-//     heap's top, keyed (g, s_e, …), is released as soon as that order
-//     fixes its place: once every gating source s has frontier f_s > g,
-//     or f_s = g and s ≥ s_e.  A primitive source s at frontier f never
+//     exchanged between sites, and the same total order a centralized
+//     detector fed the same stamps would see.  The heap's top, keyed
+//     (g, s_e, …), is released as soon as that order fixes its place:
+//     once every gating source s has frontier f_s > g, or f_s = g and
+//     s ≥ s_e.  A primitive source s at frontier f never
 //     again sends a key below (f, s, ·), which sorts after the top when
 //     s > s_e; when s = s_e the top came down s's own stream, and FIFO
 //     order, s's monotone local clock and the arrival tie-break put every
 //     later key of s after it.  So nothing still to arrive can happen
 //     before the released event (Definition 4.7) or sort ahead of it:
 //     the 2g_g precedence orders events only across granules, and inside
-//     one the key decides.  The exception is ReleaseExtension, which
-//     releases as soon as min over all frontiers ≥ g − 1: any future event
-//     f then has g_f ≥ g − 1, which still rules out f happening before the
-//     released event, but no longer fixes the order among concurrent ones.
+//     one the key decides.  Releasing any earlier (say once no future
+//     event can happen before the top) would leave the order among
+//     concurrent events, and with it which constituents a consuming
+//     context picks, to the delivery schedule.
 //
 // For hierarchically forwarded *composite* occurrences the (global, site,
 // local) key is still used with the stamp's maximal global component;
@@ -450,60 +451,21 @@ func (r *reorderer) exclude(from core.Site) {
 	}
 }
 
-// ReleaseMode selects how aggressively the watermark releases events.
-type ReleaseMode int
-
-const (
-	// ReleaseTotalOrder (the default) releases an event keyed (g, s, …)
-	// once no key below it can still arrive: every gating frontier is
-	// above g, or at g on a source that sorts at or after s (see the
-	// package comment for why that is safe, and for forwarded
-	// composites).  The release sequence is globally sorted by (global,
-	// site, local) — a deterministic total order identical to a
-	// centralized detector fed the same stamps — at the cost of waiting
-	// for the sources at g that sort before s to pass g.
-	ReleaseTotalOrder ReleaseMode = iota
-	// ReleaseExtension releases as soon as no *happen-before* violation
-	// is possible (g ≤ min frontier + 1).  Lowest latency; the sequence
-	// is only a linear extension of <, so concurrent events may be
-	// interleaved differently than at a centralized oracle, which can
-	// change which of several equally valid constituents a context
-	// (Recent/Chronicle/…) picks.
-	ReleaseExtension
-)
-
-func (m ReleaseMode) String() string {
-	switch m {
-	case ReleaseTotalOrder:
-		return "total-order"
-	case ReleaseExtension:
-		return "extension"
-	default:
-		return fmt.Sprintf("ReleaseMode(%d)", int(m))
-	}
-}
-
-// slack returns the release threshold offset relative to the minimum
-// frontier: release while top.global ≤ minFrontier + slack.
-func (m ReleaseMode) slack() int64 {
-	if m == ReleaseExtension {
-		return 1
-	}
-	return -1
-}
-
 // releaseInto pops every stable event in (global, site, local, arrival)
 // order, appending to the caller-owned dst and returning the extended
-// slice.  An event is stable once its maximal global component is at
-// most minFrontier + slack(mode), or once placed: under ReleaseExtension
-// the first condition already covers the second.
+// slice.  An event keyed (g, s, …) is stable once no key below it can
+// still arrive: every gating frontier is above g, or at g on a source
+// that sorts at or after s (placed; see the package comment for why that
+// is safe, and for forwarded composites).  The release sequence is
+// globally sorted by (global, site, local), at the cost of waiting for
+// the sources at g that sort before s to pass g.
 //
 // A reorderer nothing touched since its last release returns immediately:
 // no event arrived and no frontier moved, so the stable set cannot have
 // grown.  This is what shards the crank's release scan — of thousands of
 // sites, only the ones with fresh arrivals or watermark movement do any
 // work, and only they consult the frontier vector.
-func (r *reorderer) releaseInto(mode ReleaseMode, dst []wire.Envelope) []wire.Envelope {
+func (r *reorderer) releaseInto(dst []wire.Envelope) []wire.Envelope {
 	if !r.stale || len(r.ready) == 0 {
 		return dst
 	}
@@ -513,7 +475,7 @@ func (r *reorderer) releaseInto(mode ReleaseMode, dst []wire.Envelope) []wire.En
 		return dst
 	}
 	for len(r.ready) > 0 {
-		if top := r.ready[0].key; top.global > minF+mode.slack() && !r.placed(top) {
+		if top := r.ready[0].key; top.global >= minF && !r.placed(top) {
 			break
 		}
 		dst = append(dst, r.ready.pop().env)

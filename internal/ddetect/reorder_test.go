@@ -228,7 +228,7 @@ func TestFrontierPendingAccountingAndExclusion(t *testing.T) {
 			t.Fatalf("watermark = %d with b excluded, want a's 14", got)
 		}
 		for _, re := range []*reorderer{tw.lone, tw.general} {
-			if n := len(re.releaseInto(ReleaseTotalOrder, nil)); n != 1 {
+			if n := len(re.releaseInto(nil)); n != 1 {
 				t.Fatalf("released %d, want 1", n)
 			}
 		}
@@ -507,7 +507,7 @@ func TestReorderAllocs(t *testing.T) {
 			}
 		}
 		seqA, seqB = seqA+3, seqB+2
-		out = r.releaseInto(ReleaseTotalOrder, out[:0])
+		out = r.releaseInto(out[:0])
 		if len(out) != len(run) || r.pendingEvents() != 0 {
 			t.Fatalf("released %d, %d pending, want %d and 0", len(out), r.pendingEvents(), len(run))
 		}
@@ -633,7 +633,7 @@ func TestSiteOrderedReleaseMatchesThreshold(t *testing.T) {
 					r.exclude(from)
 				}
 			}
-			out = rule.releaseInto(ReleaseTotalOrder, out[:0])
+			out = rule.releaseInto(out[:0])
 			for _, env := range out {
 				ruleCall[env.Occ] = call
 				ruleSeq = append(ruleSeq, env.Occ)
@@ -659,5 +659,44 @@ func TestSiteOrderedReleaseMatchesThreshold(t *testing.T) {
 	t.Logf("%d of %d events released at an earlier call than the oracle's", earlier, total)
 	if earlier == 0 {
 		t.Fatal("the rule never released before the oracle; the comparison is vacuous")
+	}
+}
+
+// TestReleaseKeyPicksMaxGlobalComponent pins the release key of a
+// forwarded composite to its max-global component, on the string path and
+// on the interned one, for stamps whose max-global component is not the
+// first in canonical order, the earliest such component on a tie: keying
+// by any other component would release the composite a granule or more
+// too early, or out of site order among its equals.
+func TestReleaseKeyPicksMaxGlobalComponent(t *testing.T) {
+	roster := core.NewRoster([]core.SiteID{"a", "b", "c"})
+	r := newReorderer(roster)
+	for _, tc := range []struct {
+		stamp core.SetStamp
+		want  key
+	}{
+		{core.SetStamp{{Site: "a", Global: 4, Local: 40}, {Site: "b", Global: 5, Local: 50}},
+			key{global: 5, site: 1, local: 50, arrival: 7}},
+		{core.SetStamp{{Site: "a", Global: 4, Local: 41}, {Site: "b", Global: 4, Local: 42}, {Site: "c", Global: 5, Local: 53}},
+			key{global: 5, site: 2, local: 53, arrival: 7}},
+		{core.SetStamp{{Site: "a", Global: 6, Local: 60}, {Site: "b", Global: 7, Local: 70}, {Site: "c", Global: 6, Local: 61}},
+			key{global: 7, site: 1, local: 70, arrival: 7}},
+		{core.SetStamp{{Site: "a", Global: 4, Local: 40}, {Site: "b", Global: 5, Local: 52}, {Site: "c", Global: 5, Local: 53}},
+			key{global: 5, site: 1, local: 52, arrival: 7}},
+	} {
+		occ := &event.Occurrence{Type: "C", Class: event.Composite, Site: "a", Stamp: tc.stamp}
+		if got := r.releaseKey(occ, 7); got != tc.want {
+			t.Errorf("string path, %v: key %+v, want %+v", tc.stamp, got, tc.want)
+		}
+		for _, s := range tc.stamp {
+			rs, ok := roster.Canon(s)
+			if !ok {
+				t.Fatalf("%v: site not in roster", s)
+			}
+			occ.Interned = append(occ.Interned, rs)
+		}
+		if got := r.releaseKey(occ, 7); got != tc.want {
+			t.Errorf("interned path, %v: key %+v, want %+v", tc.stamp, got, tc.want)
+		}
 	}
 }

@@ -35,33 +35,32 @@ func TestReordererScaleMembership(t *testing.T) {
 			// [10, 17) so the heap has to interleave sites.  Source n-1
 			// stays silent.
 			globalOf := func(i int) int64 { return int64(10 + (i*3)%7) }
-			lowest := 0
 			for i := 0; i < n-1; i++ {
-				g := globalOf(i)
-				if g == 10 {
-					lowest++
-				}
 				occ := event.NewPrimitive("A", event.Explicit,
-					core.DeriveStamp(ids[i], g*10, 10), nil)
+					core.DeriveStamp(ids[i], globalOf(i)*10, 10), nil)
 				if err := r.accept(core.Site(i), 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got := len(r.releaseInto(ReleaseExtension, nil)); got != 0 {
+			if got := len(r.releaseInto(nil)); got != 0 {
 				t.Fatalf("released %d events while %s was silent, want 0", got, ids[n-1])
 			}
 			if got := r.pendingEvents(); got != n-1 {
 				t.Fatalf("pendingEvents = %d, want %d", got, n-1)
 			}
 
-			// The silent member heartbeats global 9: min frontier 9, so
-			// extension mode releases exactly the global-10 events.
-			if err := r.accept(core.Site(n-1), 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 9}); err != nil {
+			// The silent member heartbeats global 11: the minimum frontier
+			// is 10, held by the sources whose own event is at 10, and the
+			// lowest of them is source 0.  Its event is placed, since
+			// every other source still at 10 sorts after it; the other
+			// global-10 events wait, because source 0 may yet send more
+			// keys at 10 that sort before theirs.
+			if err := r.accept(core.Site(n-1), 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 11}); err != nil {
 				t.Fatal(err)
 			}
 			var keys []key
-			release := func(mode ReleaseMode) int {
-				envs := r.releaseInto(mode, nil)
+			release := func() int {
+				envs := r.releaseInto(nil)
 				for _, env := range envs {
 					keys = append(keys, key{
 						global: env.Occ.Stamp.MaxGlobal(),
@@ -70,19 +69,18 @@ func TestReordererScaleMembership(t *testing.T) {
 				}
 				return len(envs)
 			}
-			if got := release(ReleaseExtension); got != lowest {
-				t.Fatalf("partial release = %d, want %d (the global-10 events)", got, lowest)
+			if got := release(); got != 1 {
+				t.Fatalf("partial release = %d, want 1 (source 0's global-10 event)", got)
 			}
 
-			// Everyone advances far past the window: the rest releases, in
-			// both modes' threshold (use total order for the stricter gate).
+			// Everyone advances far past the window: the rest releases.
 			for i := 0; i < n; i++ {
 				if err := r.accept(core.Site(i), 2, wire.Envelope{Kind: wire.KindHeartbeat, Global: 1000}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got := release(ReleaseTotalOrder); got != n-1-lowest {
-				t.Fatalf("final release = %d, want %d", got, n-1-lowest)
+			if got := release(); got != n-2 {
+				t.Fatalf("final release = %d, want %d", got, n-2)
 			}
 			if got := r.pendingEvents(); got != 0 {
 				t.Fatalf("pendingEvents after full release = %d, want 0", got)
@@ -115,14 +113,15 @@ func TestReordererScaleExclusion(t *testing.T) {
 			if err := r.accept(core.Site(0), 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(r.releaseInto(ReleaseExtension, nil)); got != 0 {
+			if got := len(r.releaseInto(nil)); got != 0 {
 				t.Fatalf("released %d with %d silent members, want 0", got, n-1)
 			}
 			for i := 1; i < n; i++ {
 				r.exclude(core.Site(i))
 			}
-			// min frontier is now the speaker's own 10: 10 ≤ 10+1 releases.
-			if got := len(r.releaseInto(ReleaseExtension, nil)); got != 1 {
+			// The minimum frontier is now the speaker's own 10, and the
+			// event came down the speaker's own stream: it is placed.
+			if got := len(r.releaseInto(nil)); got != 1 {
 				t.Fatalf("released %d after excluding all silent members, want 1", got)
 			}
 		})

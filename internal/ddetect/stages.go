@@ -352,7 +352,7 @@ func (st *releaseStage) Tick(now clock.Microticks) int {
 		if len(s.re.ready) == 0 {
 			continue
 		}
-		st.stable = s.re.releaseInto(sys.cfg.Release, st.stable[:0])
+		st.stable = s.re.releaseInto(st.stable[:0])
 		for _, env := range st.stable {
 			sys.stats.Released++
 			lat := now - env.RaisedAt

@@ -27,9 +27,6 @@ type Config struct {
 	// HeartbeatEvery is the watermark period in microticks; it defaults
 	// to one global granule, the finest useful cadence.
 	HeartbeatEvery clock.Microticks
-	// Release selects the watermark release mode; the zero value is
-	// ReleaseTotalOrder (deterministic, centralized-equivalent).
-	Release ReleaseMode
 	// Serialize, when true, encodes every envelope crossing the bus with
 	// internal/wire and decodes it at the receiver, proving the engine
 	// needs no shared memory between sites (and costing one codec round
@@ -925,7 +922,9 @@ func (sys *System) seal() {
 	sys.codec = &wire.Codec{Roster: sys.roster, Granule: int64(sys.cfg.Clock.GlobalGranularity), Types: sys.reg, Pool: sys.opool}
 	sink := make([]bool, len(sys.sites))
 	sys.defByID = make([]*defRecord, sys.reg.Count()+1)
-	for typ, hosts := range sys.needers { //lint:allow mapiter — per-type entries are independent and each dense list inherits its string list's ID-sorted order; hbSinks below is appended in sys.sites order
+	// Map order is harmless: each type's entry is independent and its
+	// dense list keeps the string list's ID-sorted order.
+	for typ, hosts := range sys.needers {
 		dense := make([]core.Site, len(hosts))
 		for i, h := range hosts {
 			dense[i] = sys.roster.MustSite(h)

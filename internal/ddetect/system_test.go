@@ -467,7 +467,7 @@ func TestSelfReordererHearsOnlyItself(t *testing.T) {
 	// Only its own frontier gates: the event's own stamp put the frontier
 	// at 10, so total order needs 11.
 	r.setFrontier(self, 11)
-	if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != 1 {
+	if n := len(r.releaseInto(nil)); n != 1 {
 		t.Fatalf("self-only release = %d, want 1", n)
 	}
 }
@@ -480,22 +480,28 @@ func TestReleaseWaitsForAllFrontiers(t *testing.T) {
 	if err := r.accept(a, 1, wire.Envelope{Kind: wire.KindEvent, Occ: occ}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(r.releaseInto(ReleaseExtension, nil)); n != 0 {
+	if n := len(r.releaseInto(nil)); n != 0 {
 		t.Fatalf("released %d before source b ever spoke", n)
 	}
-	// Extension mode releases once no happen-before violation is
-	// possible: global 10 ≤ min frontier 9 + 1.
+	// b at 9 may still send an event at 10 or below that sorts first.
 	if err := r.accept(b, 1, wire.Envelope{Kind: wire.KindHeartbeat, Global: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(r.releaseInto(ReleaseExtension, nil)); n != 1 {
+	if n := len(r.releaseInto(nil)); n != 0 {
+		t.Fatalf("released %d with source b at 9, want 0", n)
+	}
+	// b at 10 sorts after a: nothing still to arrive can precede a's event.
+	if err := r.accept(b, 2, wire.Envelope{Kind: wire.KindHeartbeat, Global: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.releaseInto(nil)); n != 1 {
 		t.Fatalf("released %d after frontiers caught up, want 1", n)
 	}
 }
 
 // TestTotalOrderReleaseIsStricter pins the site-ordered total-order rule
 // case by case, for an event keyed by source b at global 10 among sources
-// a < b < c: stricter than ReleaseExtension (nothing at min frontier 9),
+// a < b < c: nothing while any frontier is below 10,
 // held by a lower-index source whose frontier is still 10, not held by a
 // higher-index one or by b itself at 10, and held by any source at 10
 // that forwards composites, whatever its index.  A composite forwarded by
@@ -516,9 +522,9 @@ func TestTotalOrderReleaseIsStricter(t *testing.T) {
 		steps     []frontier
 		want      []int // released after each step
 	}{
-		// min frontier 9: extension would release (10 ≤ 9 + 1), total
-		// order waits; a at 10 sorts below b and still holds it; a past 10
-		// releases with b (own source) and c (higher index) at 10.
+		// min frontier 9 holds it; a at 10 sorts below b and still holds
+		// it; a past 10 releases with b (own source) and c (higher index)
+		// at 10.
 		{"lower index holds", core.NoSite, b,
 			[]frontier{{c, 10}, {a, 9}, {a, 10}, {a, 11}}, []int{0, 0, 0, 1}},
 		// c at 10 sorts above b: it holds nothing once a has passed 10.
@@ -553,7 +559,7 @@ func TestTotalOrderReleaseIsStricter(t *testing.T) {
 				if err := r.accept(f.from, seqs[f.from], wire.Envelope{Kind: wire.KindHeartbeat, Global: f.global}); err != nil {
 					t.Fatal(err)
 				}
-				if n := len(r.releaseInto(ReleaseTotalOrder, nil)); n != tc.want[k] {
+				if n := len(r.releaseInto(nil)); n != tc.want[k] {
 					t.Fatalf("after frontier %s=%d: released %d, want %d",
 						roster.ID(f.from), f.global, n, tc.want[k])
 				}

@@ -190,8 +190,6 @@ type sharedNode struct {
 // position: the subtree evaluates once, but each embedding definition
 // receives the result exactly where its own private copy would have
 // produced it.
-//
-//sentinel:hotpath
 func (sh *sharedNode) fanOut(o *event.Occurrence) {
 	for _, p := range sh.outs {
 		sh.det.enqueue(p.pos, p.node, p.idx, o)
@@ -211,8 +209,6 @@ type delivery struct {
 // enqueue schedules a delivery, retaining the occurrence until it is
 // handed over.  The pending heap is a plain slice sifted in place — no
 // interface boxing, no steady-state allocation.
-//
-//sentinel:hotpath
 func (d *Detector) enqueue(pos uint32, n opNode, idx int, o *event.Occurrence) {
 	o.Retain()
 	d.deliverySeq++
@@ -236,8 +232,6 @@ func deliveryLess(a, b delivery) bool {
 }
 
 // popDelivery removes and returns the earliest pending delivery.
-//
-//sentinel:hotpath
 func (d *Detector) popDelivery() delivery {
 	h := d.pending
 	top := h[0]
@@ -265,8 +259,6 @@ func (d *Detector) popDelivery() delivery {
 
 // drainPending delivers scheduled emissions in position order until none
 // remain (deliveries can schedule further deliveries).
-//
-//sentinel:hotpath
 func (d *Detector) drainPending() {
 	for len(d.pending) > 0 {
 		dl := d.popDelivery()
@@ -297,8 +289,6 @@ func (d *Detector) UsePool(p *event.Pool) { d.pool = p }
 // before handing it to NewComposite so the variadic backing array at the
 // call sites never escapes and the pooled steady state emits without
 // allocating.
-//
-//sentinel:hotpath
 func (d *Detector) emit(out emitFunc, name string, cs ...*event.Occurrence) {
 	var o *event.Occurrence
 	if d.pool != nil {
@@ -365,7 +355,6 @@ func (d *Detector) Define(name string, root expr.Node, ctx Context) (*Definition
 // flushPendingSubs moves handlers subscribed before name was declared
 // into the dense table now that it has a TypeID.
 func (d *Detector) flushPendingSubs(name string) {
-	//lint:allow strindex — parked-subscriber binding runs once per late-declared name; resolve gates the call on len(pendingSubs) > 0 so steady-state dispatch never reaches it
 	hs, ok := d.pendingSubs[name]
 	if !ok {
 		return
@@ -422,7 +411,7 @@ func (d *Detector) Definitions() []*Definition {
 		return d.defList
 	}
 	names := make([]string, 0, len(d.defs))
-	for name := range d.defs { //lint:allow mapiter — order is erased by the sort below
+	for name := range d.defs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -447,8 +436,6 @@ type finishedDet struct {
 // its embedding definitions at one point of the dispatch walk, so
 // immediate depth-first delivery would order detections differently with
 // sharing on versus off.
-//
-//sentinel:hotpath
 func (d *Detector) finish(def *Definition, o *event.Occurrence) {
 	o.Type = def.Name
 	o.TypeID = def.id
@@ -466,8 +453,6 @@ func (d *Detector) finish(def *Definition, o *event.Occurrence) {
 // runs (each shared subgraph and each private subtree completes its
 // definitions in Define order), so the sort is near-linear and
 // allocation-free.
-//
-//sentinel:hotpath
 func (d *Detector) drainFinished() {
 	for len(d.finishq) > 0 {
 		batch := d.finishq
@@ -639,8 +624,6 @@ func growHandlers(s [][]Handler, id event.TypeID) [][]Handler {
 // The fast path reads o.TypeID and touches only dense slices; an
 // occurrence arriving with the unresolved sentinel (hand-built, or
 // decoded without a registry) pays one name lookup via resolve.
-//
-//sentinel:hotpath
 func (d *Detector) Publish(o *event.Occurrence) {
 	if d.orderCheck {
 		if o.Stamp.Less(d.frontier) {
@@ -701,8 +684,6 @@ func (d *Detector) OrderViolations() uint64 { return d.orderViolations }
 // comparison per step; cascaded emissions land in d.pending and
 // interleave at their own edges' positions, which is what keeps every
 // node's input order independent of subexpression sharing.
-//
-//sentinel:hotpath
 func (d *Detector) dispatchID(id event.TypeID, o *event.Occurrence) {
 	var routes []portRef
 	if int(id) < len(d.routes) {
@@ -730,8 +711,6 @@ func (d *Detector) dispatchID(id event.TypeID, o *event.Occurrence) {
 // calling Publish per occurrence (including per-publication buffer-limit
 // enforcement), so replaying a stream one-by-one or in batches yields
 // identical state.  It returns the number published.
-//
-//sentinel:hotpath
 func (d *Detector) PublishBatch(occs []*event.Occurrence) int {
 	for _, o := range occs {
 		d.Publish(o)

@@ -114,6 +114,30 @@ func TestDefinitionsListing(t *testing.T) {
 	}
 }
 
+// Definitions lists by name whatever the definition order, and a
+// definition added after a listing shows up in the next one.
+func TestDefinitionsNameOrder(t *testing.T) {
+	d, _ := newTestDetector(t)
+	for _, step := range []struct {
+		define []string
+		want   []string
+	}{
+		{[]string{"Zeta", "Mid", "Alpha"}, []string{"Alpha", "Mid", "Zeta"}},
+		{[]string{"Beta", "Omega"}, []string{"Alpha", "Beta", "Mid", "Omega", "Zeta"}},
+	} {
+		for _, name := range step.define {
+			d.MustDefine(name, "A ; B", Recent)
+		}
+		var got []string
+		for _, def := range d.Definitions() {
+			got = append(got, def.Name)
+		}
+		if strings.Join(got, " ") != strings.Join(step.want, " ") {
+			t.Fatalf("after defining %v: Definitions = %v, want %v", step.define, got, step.want)
+		}
+	}
+}
+
 func TestNestedExpressionInline(t *testing.T) {
 	// Operators nest without named intermediates.
 	c := run(t, "(A ; B) AND C", Chronicle,

@@ -50,8 +50,6 @@ type scheduler interface {
 
 // retain takes a buffer reference on o and returns it, so appends read
 // naturally: buf = append(buf, retain(o)).
-//
-//sentinel:hotpath
 func retain(o *event.Occurrence) *event.Occurrence {
 	o.Retain()
 	return o
@@ -77,7 +75,6 @@ type passNode struct {
 	out  emitFunc
 }
 
-//sentinel:hotpath
 func (n *passNode) onChild(_ int, o *event.Occurrence) {
 	n.det.emit(n.out, n.name, o)
 }
@@ -91,7 +88,6 @@ type orNode struct {
 	out  emitFunc
 }
 
-//sentinel:hotpath
 func (n *orNode) onChild(_ int, o *event.Occurrence) {
 	n.det.emit(n.out, n.name, o)
 }
@@ -121,7 +117,6 @@ type binaryNode struct {
 	cs       []*event.Occurrence
 }
 
-//sentinel:hotpath
 func (n *binaryNode) onChild(idx int, o *event.Occurrence) {
 	if n.seq {
 		n.onSeq(idx, o)
@@ -269,7 +264,6 @@ type childOcc struct {
 	occ *event.Occurrence
 }
 
-//sentinel:hotpath
 func (n *anyNode) onChild(idx int, o *event.Occurrence) {
 	if n.ctx == Recent {
 		n.buf[idx] = releaseAll(n.buf[idx])
@@ -446,7 +440,6 @@ type notNode struct {
 
 const noFollower = -1
 
-//sentinel:hotpath
 func (n *notNode) onChild(idx int, o *event.Occurrence) {
 	switch idx {
 	case 1: // initiator E1
@@ -640,7 +633,6 @@ type aperiodicNode struct {
 	cs     []*event.Occurrence
 }
 
-//sentinel:hotpath
 func (n *aperiodicNode) onChild(idx int, o *event.Occurrence) {
 	switch idx {
 	case 0: // E1 opens a window
@@ -798,7 +790,6 @@ func (n *periodicNode) bindScheduler(s scheduler) error {
 	return nil
 }
 
-//sentinel:hotpath
 func (n *periodicNode) onChild(idx int, o *event.Occurrence) {
 	switch idx {
 	case 0: // E1 opens a periodic window
@@ -875,7 +866,6 @@ func (n *plusNode) bindScheduler(s scheduler) error {
 	return nil
 }
 
-//sentinel:hotpath
 func (n *plusNode) onChild(_ int, o *event.Occurrence) {
 	// The timer closure stores o past onChild's return, so it holds a
 	// buffer reference until it fires (a timer that never fires leaks the

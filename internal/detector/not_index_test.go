@@ -27,7 +27,6 @@ type oracleNotNode struct {
 	eligible []int
 }
 
-//sentinel:hotpath
 func (n *oracleNotNode) onChild(idx int, o *event.Occurrence) {
 	switch idx {
 	case 1: // initiator E1

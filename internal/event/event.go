@@ -301,8 +301,6 @@ func (o *Occurrence) AppendFlatten(dst []*Occurrence) []*Occurrence {
 // via the string algebra otherwise.  The two paths agree on every valid
 // set (core's differential tests), so which one runs is unobservable in
 // detection output.
-//
-//sentinel:hotpath
 func StampLess(a, b *Occurrence) bool {
 	if len(a.Interned) > 0 && len(b.Interned) > 0 {
 		return a.Interned.Less(b.Interned)
@@ -311,8 +309,6 @@ func StampLess(a, b *Occurrence) bool {
 }
 
 // StampConcurrent is StampLess for the composite "~" (Definition 5.3(1)).
-//
-//sentinel:hotpath
 func StampConcurrent(a, b *Occurrence) bool {
 	if len(a.Interned) > 0 && len(b.Interned) > 0 {
 		return a.Interned.ConcurrentWith(b.Interned)
@@ -321,8 +317,6 @@ func StampConcurrent(a, b *Occurrence) bool {
 }
 
 // StampWeakLE is StampLess for the composite "⪯" (Definition 5.4).
-//
-//sentinel:hotpath
 func StampWeakLE(a, b *Occurrence) bool {
 	if len(a.Interned) > 0 && len(b.Interned) > 0 {
 		return a.Interned.WeakLE(b.Interned)
@@ -411,11 +405,8 @@ func (r *Registry) Has(name string) bool {
 
 // TypeID returns the dense ID registered for name, or 0 if the name is
 // unknown.
-//
-//sentinel:hotpath
 func (r *Registry) TypeID(name string) TypeID {
 	r.mu.RLock()
-	//lint:allow strindex — the registry IS the name→ID boundary; callers resolve once and interned dispatch carries the TypeID from there
 	id := r.ids[name]
 	r.mu.RUnlock()
 	return id

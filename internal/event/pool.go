@@ -21,9 +21,8 @@
 //     Release is a leak; a spurious one is corruption; only the former is
 //     tolerated.
 //   - Parameter maps are caller-owned and never pooled: recycling nils
-//     the Params field (the poolfx analyzer enforces that every
-//     reference-carrying field is cleared before Put) but the map itself
-//     belongs to whoever raised the event.
+//     the Params field (every reference-carrying field is cleared before
+//     Put) but the map itself belongs to whoever raised the event.
 //
 // Threading (DESIGN.md §2h): a pool belongs to one goroutine at a time.
 // Every call on it and on the occurrences it hands out — Retain and
@@ -234,8 +233,6 @@ func (p *Pool) GetComposite(typ string, site core.SiteID, cs []*Occurrence) *Occ
 // chaining in store-the-pointer handlers); on an ordinary heap-allocated
 // occurrence (or nil) it is a no-op, which is what lets the engine run
 // one ledger unconditionally whether pooling is on or off.
-//
-//sentinel:hotpath
 func (o *Occurrence) Retain() *Occurrence {
 	if o != nil && o.pool != nil {
 		o.refs++
@@ -245,8 +242,6 @@ func (o *Occurrence) Retain() *Occurrence {
 
 // Release drops one reference; the last one recycles the occurrence (and
 // cascades into its constituents).  No-op on unpooled or nil occurrences.
-//
-//sentinel:hotpath
 func (o *Occurrence) Release() {
 	if o == nil || o.pool == nil {
 		return
@@ -284,7 +279,7 @@ func (o *Occurrence) Refs() int32 { return o.refs }
 // fold buffers and the constituent slice keep their capacity across
 // generations; that reuse is the pool's entire point.  Both destinations
 // — the front array and the sync.Pool — are stored to here, below the
-// clearing, so the poolfx analyzer's function-local check covers both.
+// clearing.
 func (p *Pool) put(o *Occurrence) {
 	if o.freed {
 		// Unreachable through Release (the refcount goes negative first)

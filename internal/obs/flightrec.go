@@ -126,7 +126,7 @@ func (f *FlightRecorder) Len() int {
 // noting how many older events the ring dropped.
 func (f *FlightRecorder) Dump(w io.Writer) error {
 	named := make(map[string]*ring, len(f.rings)+len(f.dense))
-	for site, r := range f.rings { //lint:allow mapiter — collecting into a map rendered via sortedSites below
+	for site, r := range f.rings { // collected into a map, rendered in sortedSites order
 		named[site] = r
 	}
 	for ref, r := range f.dense {

@@ -10,8 +10,7 @@
 //
 //   - every timestamp in a span or metric sample is simulated time
 //     (internal/clock microticks) supplied by the caller — the package
-//     imports neither time nor math/rand, and the obsfx analyzer keeps it
-//     that way;
+//     imports neither time nor math/rand;
 //   - span IDs are assigned in emission order on the crank goroutine, so
 //     they are a deterministic function of the occurrence stream, never of
 //     goroutine scheduling;

@@ -3,8 +3,7 @@ package obs
 // Sampler makes deterministic head-sampling decisions for the tracer: a
 // raise is kept or dropped by a seeded hash of its identity (event type,
 // origin site, and the raise stamp's global/local components), never by
-// ambient randomness — the walltime analyzer forbids time/math/rand in
-// instrumented code, and determinism is the point: the same seed over the
+// ambient randomness — determinism is the point: the same seed over the
 // same run yields the same sampled-span stream regardless of transport
 // mode or pooling.
 //

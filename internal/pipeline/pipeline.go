@@ -172,7 +172,7 @@ func NewDriver(stages ...Stage) *Driver {
 // histograms and per-stage counters testable with a deterministic fake.
 func (d *Driver) SetNow(now func() time.Duration) {
 	if now == nil {
-		epoch := time.Now() //lint:allow walltime — the instrumentation clock's epoch; only its monotonic reading is ever used, never simulation state; see Driver.now
+		epoch := time.Now()
 		now = func() time.Duration { return time.Since(epoch) }
 	}
 	d.now = now

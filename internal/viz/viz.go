@@ -35,7 +35,7 @@ const (
 func ClassifyCell(e core.SetStamp, site core.SiteID, global int64, ratio int64) rune {
 	probe := core.Stamp{Site: site, Global: global, Local: global*ratio + ratio/2}
 	for _, comp := range e {
-		if comp.Site == site && comp.Global == global { //lint:allow stampcmp — grid-cell identity match against the probe's coordinates, not a temporal relation
+		if comp.Site == site && comp.Global == global { // grid-cell identity, not a temporal relation
 			return SymComponent
 		}
 	}

@@ -179,7 +179,7 @@ func validateOccurrence(o *event.Occurrence, depth int) error {
 	if depth > maxDepth {
 		return fmt.Errorf("wire: occurrence tree deeper than %d", maxDepth)
 	}
-	//lint:allow mapiter — type checks only: validity is order-independent (at worst the key named in the error varies, and errors never reach the occurrence stream)
+	// Map order is harmless: validity does not depend on it.
 	for k, v := range o.Params {
 		switch v.(type) {
 		case int64, int, uint64, float64, string, bool:

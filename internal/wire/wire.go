@@ -229,7 +229,7 @@ func AppendParams(b []byte, p event.Params) ([]byte, error) {
 	}
 	kp := keysPool.Get().(*[]string)
 	keys := (*kp)[:0]
-	//lint:allow mapiter — keys are collected then sorted; the encoded order is deterministic whatever order the range yields
+	// Keys are collected then sorted: the encoded order is deterministic.
 	for k := range p {
 		keys = append(keys, k)
 	}

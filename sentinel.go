@@ -24,8 +24,9 @@
 //	ingest    — site raises: stamping, simultaneity enforcement,
 //	            journaling, hand-off to the bus; watermark heartbeats
 //	transport — batch bus drain + per-link FIFO restore
-//	release   — watermark release of stable events (ReleaseTotalOrder /
-//	            ReleaseExtension) into per-site detect inboxes
+//	release   — watermark release of stable events, in one total order
+//	            a centralized detector would see, into per-site detect
+//	            inboxes
 //	detect    — per-site detector graphs over the released batches
 //	publish   — subscriber fan-out, hierarchical forwarding, stats
 //
@@ -129,8 +130,6 @@ type (
 	ClockConfig = clock.Config
 	// Microticks is simulated time in reference granules.
 	Microticks = clock.Microticks
-	// ReleaseMode selects the watermark release policy.
-	ReleaseMode = ddetect.ReleaseMode
 	// Runtime makes a System safe for concurrent producers.
 	Runtime = live.Runtime
 	// PipelineConfig tunes the staged execution: OnStage hooks per-stage
@@ -143,15 +142,6 @@ type (
 	StageStats = pipeline.StageStats
 	// StageHistogram is a power-of-two-bucketed wall-clock histogram.
 	StageHistogram = pipeline.Histogram
-)
-
-// Watermark release modes.
-const (
-	// ReleaseTotalOrder is deterministic and centralized-equivalent.
-	ReleaseTotalOrder = ddetect.ReleaseTotalOrder
-	// ReleaseExtension trades determinism among concurrent events for
-	// two granules less latency.
-	ReleaseExtension = ddetect.ReleaseExtension
 )
 
 // Active database and ECA rules.
