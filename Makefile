@@ -1,6 +1,7 @@
 # Tier-1 verification for this repo.  `make ci` is what a reviewer (or a
-# CI job) runs: vet, lint (one analyzer), build, the full test suite
-# under the race detector — internal/live, the registry and the clock are
+# CI job) runs: vet, build, the full test suite (its source check,
+# internal/ddetect/sitemap_test.go, is the repo's one lint rule) under
+# the race detector — internal/live, the registry and the clock are
 # used from more than one goroutine, and the occurrence pool's single-owner rule is only
 # checkable there — the pipeline determinism regressions by name so a
 # renamed or skipped test fails loudly, the exact allocation gates (which
@@ -9,21 +10,13 @@
 # ./benchmark`, not from this file.
 
 GO ?= go
-LINT := bin/sentinel-lint
 
-.PHONY: ci vet lint build test race determinism obs-determinism trace-overhead allocs scale-smoke guard-smoke
+.PHONY: ci vet build test race determinism obs-determinism trace-overhead allocs scale-smoke guard-smoke
 
-ci: vet lint build race determinism obs-determinism allocs scale-smoke guard-smoke
+ci: vet build race determinism obs-determinism allocs scale-smoke guard-smoke
 
 vet:
 	$(GO) vet ./...
-
-# The repo's one lint rule, sitemap (DESIGN.md §2c names the fault only
-# it catches), and the stale-//lint:allow audit, driven through the go
-# vet unit-checker protocol so test variants are covered too.
-lint:
-	$(GO) build -o $(LINT) ./cmd/sentinel-lint
-	$(GO) vet -vettool=$(LINT) ./...
 
 build:
 	$(GO) build ./...
